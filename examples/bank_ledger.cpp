@@ -1,13 +1,15 @@
 // bank_ledger — fine-grained locking with QSV mutexes.
 //
-//   build/examples/bank_ledger [accounts] [threads] [transfers]
+//   build/bank_ledger [accounts] [threads] [transfers]
 //
 // A ledger of accounts, each guarded by its own one-word QsvMutex (the
 // space argument for the mechanism: a lock per record is affordable).
-// Worker threads execute random transfers with ordered two-lock
-// acquisition; an auditor thread concurrently snapshots the books using
-// the timeout mode so it can skip records busy for too long. At exit the
-// total must be exactly conserved.
+// Worker threads (default: one per CPU, less one for the auditor)
+// execute random transfers with ordered two-lock acquisition; an
+// auditor thread concurrently snapshots the books using the timeout
+// mode so it can skip records busy for too long. At exit the total must
+// be exactly conserved.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -18,7 +20,9 @@
 
 #include "core/syncvar.hpp"
 #include "harness/team.hpp"
+#include "platform/affinity.hpp"
 #include "platform/rng.hpp"
+#include "qsv/wait.hpp"
 
 using namespace std::chrono_literals;
 
@@ -34,8 +38,16 @@ struct Account {
 int main(int argc, char** argv) {
   const std::size_t accounts = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
                                         : 64;
+  const std::size_t cpus = qsv::platform::available_cpus();
   const std::size_t threads = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                       : 8;
+                                       : std::max<std::size_t>(1, cpus - 1);
+  // Pure spinning needs a CPU per thread: a FIFO handoff to a waiter
+  // that is not running stalls every waiter queued behind it. A crew
+  // that outnumbers the CPUs yields once its spin budget runs out.
+  if (threads + 1 > cpus &&
+      qsv::get_default_wait_policy() == qsv::wait_policy::spin) {
+    qsv::set_default_wait_policy(qsv::wait_policy::spin_yield);
+  }
   const std::size_t transfers =
       argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 200000;
 

@@ -1,82 +1,94 @@
-// trace_handoffs — visualize who gets the lock, using the trace module.
+// trace_handoffs — who gets the lock after whom, read from the lock's
+// own telemetry record.
 //
-//   build/examples/trace_handoffs [--csv]
+//   build/trace_handoffs
 //
-// Runs the same contended counter loop under the QSV mutex (FIFO
-// handoff) and the TTAS lock (barging), traces every acquire/release,
-// and prints the per-thread acquisition shares and wait times each
-// discipline produces. With --csv the raw merged event stream is dumped
-// for external plotting.
+// One thread per available CPU (at least two) increments a shared
+// counter for a 200 ms window under the QSV mutex (FIFO handoff), then
+// under the TTAS lock (barging). Every thread stays in the loop for the
+// whole window. Shares per thread and self-handoffs (the releaser
+// re-winning its own lock) are counted inside the critical section;
+// the contended count, handoffs and wait quantiles come from the lock's
+// telemetry() record, the one the introspection endpoint serves.
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <iostream>
+#include <numeric>
+#include <thread>
+#include <vector>
 
 #include "core/qsv_mutex.hpp"
 #include "harness/team.hpp"
 #include "locks/ttas.hpp"
-#include "trace/trace.hpp"
+#include "platform/affinity.hpp"
+#include "platform/arch.hpp"
+#include "platform/stats.hpp"
 
 namespace {
 
-constexpr std::size_t kThreads = 6;
-constexpr std::size_t kOps = 3000;
+using ull = unsigned long long;
 
+/// One window under `Lock`; false when the shares do not add up to the
+/// acquisitions counted under the lock.
 template <typename Lock>
-void run_traced(const char* label, std::uint64_t id,
-                qsv::trace::TraceSession& session) {
-  qsv::trace::TracedLock<Lock> lock(session, id);
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
-    for (std::size_t i = 0; i < kOps; ++i) {
-      lock.lock();
-      lock.unlock();
-    }
+bool run(const char* label, std::size_t threads) {
+  Lock lock;
+  std::vector<std::uint64_t> shares(threads, 0);
+  std::uint64_t acquisitions = 0, self_handoffs = 0;  // guarded by lock
+  std::size_t last_holder = threads;                  // guarded by lock
+  qsv::harness::StopFlag stop;
+  std::jthread timer([&] {
+    qsv::platform::thread_sleep(std::chrono::milliseconds(200));
+    stop.request();
   });
-  const auto stats = qsv::trace::analyze_handoffs(session.merge(), id);
-  std::printf("%s\n", label);
-  std::printf("  acquisitions per thread:");
-  for (std::size_t t = 0; t < stats.acquisitions.size(); ++t) {
-    if (stats.acquisitions[t] == 0) continue;
-    std::printf(" %llu",
-                static_cast<unsigned long long>(stats.acquisitions[t]));
-  }
-  std::printf("\n  share imbalance (max/min): %.2f\n", stats.imbalance());
-  std::printf("  self-handoffs: %llu of %llu (%.0f%%)\n",
-              static_cast<unsigned long long>(stats.self_handoffs),
-              static_cast<unsigned long long>(stats.handoffs),
-              stats.handoffs ? 100.0 * static_cast<double>(
-                                           stats.self_handoffs) /
-                                   static_cast<double>(stats.handoffs)
-                             : 0.0);
-  std::uint64_t max_wait = 0;
-  for (std::size_t t = 0; t < stats.total_wait_ns.size(); ++t) {
-    if (stats.acquisitions[t] != 0) {
-      max_wait = std::max(max_wait,
-                          stats.total_wait_ns[t] / stats.acquisitions[t]);
+  qsv::harness::ThreadTeam::run(threads, [&](std::size_t rank) {
+    std::uint64_t mine = 0;
+    while (!stop.requested()) {
+      lock.lock();
+      ++acquisitions;
+      if (last_holder == rank) ++self_handoffs;
+      last_holder = rank;
+      lock.unlock();
+      ++mine;
     }
+    shares[rank] = mine;
+  });
+
+  std::printf("%s\n  shares per thread:", label);
+  for (const std::uint64_t s : shares) std::printf(" %llu", ull{s});
+  std::printf("\n  Jain index: %.3f (1 = even shares)\n",
+              qsv::platform::jain_index(shares));
+  const auto total =
+      static_cast<double>(std::max<std::uint64_t>(1, acquisitions));
+  std::printf("  self-handoffs: %llu of %llu acquisitions (%.1f%%)\n",
+              ull{self_handoffs}, ull{acquisitions},
+              100.0 * static_cast<double>(self_handoffs) / total);
+  if (const qsv::obs::LockRec* rec = lock.telemetry()) {
+    std::printf("  telemetry (%s): %llu contended, %llu handoffs\n"
+                "  contended wait: p50 %llu ns, p99 %llu ns, max %llu ns\n\n",
+                rec->kind(), ull{rec->contended()}, ull{rec->handoffs()},
+                ull{rec->wait_quantile_ns(0.5)},
+                ull{rec->wait_quantile_ns(0.99)}, ull{rec->max_wait_ns()});
+  } else {
+    std::printf("  telemetry: off (built with QSV_OBS=OFF)\n\n");
   }
-  std::printf("  worst mean wait: %.1f us\n\n",
-              static_cast<double>(max_wait) * 1e-3);
+  return std::accumulate(shares.begin(), shares.end(), std::uint64_t{0}) ==
+         acquisitions;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool csv = argc > 1 && std::strcmp(argv[1], "--csv") == 0;
-  std::printf("trace_handoffs — FIFO vs barging, %zu threads x %zu ops\n\n",
-              kThreads, kOps);
-
-  // Separate sessions so each analysis sees only its own lock's events.
-  {
-    qsv::trace::TraceSession session(1 << 16);
-    run_traced<qsv::core::QsvMutex<>>(
-        "qsv (FIFO handoff): even shares, no self-handoff bias", 1,
-        session);
-    if (csv) session.dump_csv(std::cout);
-  }
-  {
-    qsv::trace::TraceSession session(1 << 16);
-    run_traced<qsv::locks::TtasNoBackoffLock>(
-        "ttas (barging): releaser often re-wins its own lock", 2, session);
-  }
-  return 0;
+int main() {
+  const std::size_t threads =
+      std::max<std::size_t>(2, qsv::platform::available_cpus());
+  std::printf("trace_handoffs — FIFO vs barging, %zu threads, 200 ms each\n\n",
+              threads);
+  const bool qsv_ok =
+      run<qsv::core::QsvMutex<>>("qsv (FIFO handoff)", threads);
+  const bool ttas_ok =
+      run<qsv::locks::TtasNoBackoffLock>("ttas (barging)", threads);
+  if (qsv_ok && ttas_ok) return 0;
+  std::printf("shares do not sum to the acquisitions counted in the lock\n");
+  return 1;
 }

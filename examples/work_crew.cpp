@@ -1,17 +1,18 @@
 // work_crew — a task farm on the hierarchical (cohort) QSV mutex.
 //
-//   build/examples/work_crew
+//   build/work_crew
 //
-// Eight workers, organized in cohorts of four (think: two NUMA nodes),
-// pull variable-sized work items from one shared deque. The deque's
-// lock is the contended resource; the hierarchical QSV lock prefers
-// handing it to a cohort-mate, which on clustered hardware keeps the
-// lock line and the deque's data resident in one node's cache.
+// One worker per CPU (at least four), organized in two cohorts (think:
+// two NUMA nodes), pull variable-sized work items from one shared deque.
+// The deque's lock is the contended resource; the hierarchical QSV lock
+// prefers handing it to a cohort-mate, which on clustered hardware keeps
+// the lock line and the deque's data resident in one node's cache.
 //
 // The run reports the protocol-event mix (intra-cohort passes vs global
 // round trips) for three fairness budgets, showing the dial between
 // locality and strict FIFO — and that total work completed is identical
 // (nothing is lost, only reordered).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -20,8 +21,10 @@
 #include "harness/team.hpp"
 #include "hier/hier_qsv.hpp"
 #include "obs/hook.hpp"
+#include "platform/affinity.hpp"
 #include "platform/rng.hpp"
 #include "platform/timing.hpp"
+#include "qsv/wait.hpp"
 
 namespace {
 
@@ -30,8 +33,6 @@ struct WorkItem {
   std::uint32_t cost;  // busy-loop iterations
 };
 
-constexpr std::size_t kWorkers = 8;
-constexpr std::size_t kCohortSize = 4;
 constexpr std::uint32_t kItems = 40000;
 
 /// One farm run under the given budget; returns {seconds, passes, acqs}.
@@ -42,8 +43,9 @@ struct FarmResult {
   std::uint64_t completed;
 };
 
-FarmResult run_farm(std::size_t budget) {
-  qsv::hier::HierQsvMutex lock(kCohortSize, budget, qsv::wait_policy::spin);
+FarmResult run_farm(std::size_t workers, std::size_t cohort,
+                    std::size_t budget) {
+  qsv::hier::HierQsvMutex lock(cohort, budget);
   const qsv::obs::LockRec* rec = lock.telemetry();
   std::deque<WorkItem> queue;  // guarded by `lock`
   qsv::platform::SplitMix64 rng(42);
@@ -52,9 +54,9 @@ FarmResult run_farm(std::size_t budget) {
                                     64 + (rng.next() & 255))});
   }
 
-  std::vector<std::uint64_t> done(kWorkers, 0);
+  std::vector<std::uint64_t> done(workers, 0);
   const auto t0 = qsv::platform::now_ns();
-  qsv::harness::ThreadTeam::run(kWorkers, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(workers, [&](std::size_t rank) {
     std::uint64_t n = 0;
     for (;;) {
       lock.lock();
@@ -84,12 +86,24 @@ FarmResult run_farm(std::size_t budget) {
 }  // namespace
 
 int main() {
+  // One worker per CPU, at least four so each of the two cohorts has a
+  // mate to pass the lock to.
+  const std::size_t cpus = qsv::platform::available_cpus();
+  const std::size_t workers = std::max<std::size_t>(4, cpus);
+  const std::size_t cohort = (workers + 1) / 2;
+  // Pure spinning needs a CPU per thread: a FIFO handoff to a waiter
+  // that is not running stalls every waiter queued behind it. A crew
+  // that outnumbers the CPUs yields once its spin budget runs out.
+  if (workers > cpus &&
+      qsv::get_default_wait_policy() == qsv::wait_policy::spin) {
+    qsv::set_default_wait_policy(qsv::wait_policy::spin_yield);
+  }
   std::printf("work_crew — %zu workers in cohorts of %zu, %u items\n\n",
-              kWorkers, kCohortSize, kItems);
+              workers, cohort, kItems);
   std::printf("%8s %10s %14s %14s %10s\n", "budget", "seconds",
               "local passes", "global acqs", "items");
   for (const std::size_t budget : {0ul, 8ul, 64ul}) {
-    const FarmResult r = run_farm(budget);
+    const FarmResult r = run_farm(workers, cohort, budget);
     std::printf("%8zu %10.3f %14llu %14llu %10llu%s\n", budget, r.seconds,
                 static_cast<unsigned long long>(r.local_passes),
                 static_cast<unsigned long long>(r.global_acquires),

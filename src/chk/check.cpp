@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "platform/chk_hook.hpp"
+#include "platform/hazard_hook.hpp"
 #include "trace/lock_order.hpp"
 
 namespace qsv::chk {
@@ -518,6 +519,11 @@ Report check(const Scenario& scenario, const Options& opts) {
   // hazard once per execution that reaches it.
   trace::lock_order_enable(true);
   trace::lock_order_quiet(true);
+  // One feed: the checked wrappers report every row's acquisitions
+  // under their registered names. The production HeldMap feed would
+  // report a node-based row a second time, under the primitive's
+  // (unnamed) address, so it stays off while the check explores.
+  platform::hazard_hook::set_enabled(false);
   switch (opts.mode) {
     case Options::Mode::kDfs:
       dfs_explore(sched, scenario, opts,

@@ -207,7 +207,8 @@ struct Report {
 };
 
 /// Explore `scenario` per `opts`. The lock-order detector is enabled
-/// (and reset) for the duration of the check.
+/// (and reset) for the duration of the check and fed by the checked
+/// wrappers only: the production HeldMap feed stays off meanwhile.
 Report check(const Scenario& scenario, const Options& opts);
 
 }  // namespace qsv::chk

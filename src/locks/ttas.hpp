@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "obs/hook.hpp"
 #include "platform/arch.hpp"
@@ -70,7 +71,11 @@ class TtasLock {
     flag_.store(0, std::memory_order_release);
   }
 
-  static constexpr const char* name() noexcept { return "ttas+backoff"; }
+  /// The catalogue row's name: "ttas" for the no-backoff floor.
+  static constexpr const char* name() noexcept {
+    return std::is_same_v<Backoff, qsv::platform::NoBackoff> ? "ttas"
+                                                             : "ttas+backoff";
+  }
   static constexpr std::size_t footprint_bytes() noexcept {
     return sizeof(std::atomic<std::uint32_t>);
   }

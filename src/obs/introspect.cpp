@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,6 +74,11 @@ std::vector<std::string> split_words(const std::string& line) {
   }
   return words;
 }
+
+/// Largest `hazards` threshold in ms whose nanosecond value fits in 64
+/// bits (about 584 years).
+constexpr std::uint64_t kMaxThresholdMs =
+    std::numeric_limits<std::uint64_t>::max() / 1'000'000;
 
 bool parse_ms(const std::string& word, std::uint64_t& out) {
   if (word.empty() ||
@@ -151,10 +157,12 @@ bool handle_line(Server& srv, int fd, const std::string& line) {
   if (cmd == "hazards") {
     std::uint64_t hold_ms = kDefaultLongHoldNs / 1'000'000;
     std::uint64_t starve_ms = kDefaultStarvationNs / 1'000'000;
-    if (w.size() >= 2 && !parse_ms(w[1], hold_ms)) {
+    if (w.size() >= 2 &&
+        (!parse_ms(w[1], hold_ms) || hold_ms > kMaxThresholdMs)) {
       return reply_err(fd, "bad hold threshold");
     }
-    if (w.size() >= 3 && !parse_ms(w[2], starve_ms)) {
+    if (w.size() >= 3 &&
+        (!parse_ms(w[2], starve_ms) || starve_ms > kMaxThresholdMs)) {
       return reply_err(fd, "bad starvation threshold");
     }
     std::string out;

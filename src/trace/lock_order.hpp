@@ -16,7 +16,9 @@
 //     detector installs itself into on enable (platform/ must not
 //     include trace/; qsvlint's layering rule enforces the direction),
 //   * the chk checker's instrumented wrappers (every checked lock,
-//     including non-node locks like tas/ticket).
+//     including non-node locks like tas/ticket). chk::check() keeps
+//     the HeldMap feed off while it explores, so a node-based row is
+//     reported once, under the wrapper's name.
 //
 // Cost: one relaxed atomic load per acquisition when disabled (the
 // default — this is an opt-in diagnostic, enabled by tests, by the chk

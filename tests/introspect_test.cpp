@@ -172,6 +172,16 @@ TEST_F(IntrospectMalformed, UnknownAndIllFormedCommandsAreRejected) {
             std::string::npos);
   EXPECT_NE(request(fd, "hazards nope").find("err bad hold threshold"),
             std::string::npos);
+  // A threshold is rejected once its nanosecond value overflows 64 bits
+  // (past 18446744073709 ms), not wrapped into a tiny one.
+  EXPECT_NE(request(fd, "hazards 18446744073710").find(
+                "err bad hold threshold"),
+            std::string::npos);
+  EXPECT_NE(request(fd, "hazards 1000 76480200929599801")
+                .find("err bad starvation threshold"),
+            std::string::npos);
+  EXPECT_EQ(request(fd, "hazards 18446744073709 18446744073709").find("err"),
+            std::string::npos);
   // A command survives surrounding whitespace.
   EXPECT_NE(request(fd, "   help   ").find("commands:"), std::string::npos);
   ::close(fd);

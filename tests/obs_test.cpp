@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "catalog/catalog.hpp"
 #include "core/qsv_mutex.hpp"
 #include "core/qsv_rwlock.hpp"
 #include "hier/hier_qsv.hpp"
@@ -134,6 +135,15 @@ TEST(ObsRegistry, RegistersOnConstructionUnregistersOnDestruction) {
     EXPECT_TRUE(found);
   }
   EXPECT_EQ(qo::size(), before);
+  // Each catalogue row registers under its own name: the no-backoff
+  // TTAS row is "ttas", not its backoff sibling's "ttas+backoff".
+  for (const char* row : {"ttas", "ttas+backoff"}) {
+    const auto* entry = qsv::catalog::find(row);
+    ASSERT_NE(entry, nullptr) << row;
+    const auto lock = entry->make(2);
+    ASSERT_NE(lock->telemetry(), nullptr) << row;
+    EXPECT_STREQ(lock->telemetry()->kind(), row);
+  }
 }
 
 TEST(ObsRegistry, DestructionNeverRacesASnapshot) {
