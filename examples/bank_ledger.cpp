@@ -2,16 +2,15 @@
 //
 //   build/bank_ledger [accounts] [threads] [transfers]
 //
-// A ledger of accounts, each guarded by its own one-word QsvMutex (the
-// space argument for the mechanism: a lock per record is affordable).
-// Worker threads (default: one per CPU, less one for the auditor)
-// execute random transfers with ordered two-lock acquisition; an
-// auditor thread concurrently snapshots the books using the timeout
-// mode so it can skip records busy for too long. At exit the total must
-// be exactly conserved.
+// A ledger of accounts, each guarded by its own one-word QSV timeout
+// mutex (the space argument for the mechanism: a lock per record is
+// affordable). Worker threads (default: one per CPU, less one for the
+// auditor) execute random transfers with ordered two-lock acquisition;
+// an auditor thread concurrently snapshots the books with the timeout
+// mode's zero-deadline try_lock on the same locks, so it skips any
+// record a worker holds. At exit the total must be exactly conserved.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -24,12 +23,10 @@
 #include "platform/rng.hpp"
 #include "qsv/wait.hpp"
 
-using namespace std::chrono_literals;
-
 namespace {
 
 struct Account {
-  qsv::core::QsvMutex<> lock;
+  qsv::core::QsvTimeoutMutex lock;
   std::int64_t balance = 1000;  // guarded by lock
 };
 
@@ -57,22 +54,18 @@ int main(int argc, char** argv) {
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> audits{0}, audit_skips{0};
 
-  // Auditor: best-effort sweep with bounded impatience per record.
-  // (Demonstrates QsvTimeoutMutex composing with plain QsvMutex state —
-  // it uses its own lock per account would be the real design; here it
-  // simply try-locks the account's mutex via a side timeout lock table.)
-  std::vector<qsv::core::QsvTimeoutMutex> audit_locks(accounts);
-
+  // Auditor: best-effort sweep with bounded impatience per record. It
+  // contends for the lock the workers hold with a zero deadline: a
+  // record a worker holds (or has queued for) is skipped, not waited
+  // on — the attempt withdraws from the queue instead.
   std::thread auditor([&] {
     while (!done.load(std::memory_order_relaxed)) {
       std::int64_t seen = 0;
       bool complete = true;
       for (std::size_t i = 0; i < accounts; ++i) {
-        if (audit_locks[i].try_lock_for(50us)) {
-          ledger[i].lock.lock();
+        if (ledger[i].lock.try_lock()) {
           seen += ledger[i].balance;
           ledger[i].lock.unlock();
-          audit_locks[i].unlock();
         } else {
           complete = false;
           audit_skips.fetch_add(1, std::memory_order_relaxed);

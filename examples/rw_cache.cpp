@@ -1,8 +1,9 @@
 // rw_cache — a read-mostly configuration cache under QSV shared mode.
 //
-//   build/examples/rw_cache [threads] [seconds]
+//   build/rw_cache [threads] [seconds]
 //
-// A key-value table serving a 99%-read workload, guarded by
+// Threads default to one per CPU. A key-value table serving a
+// 99%-read workload, guarded by
 // qsv::shared_mutex through the std RAII wrappers (std::shared_lock
 // for readers, std::unique_lock for the refresher). Every read
 // validates the table's internal checksum, so any admission bug is
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "harness/team.hpp"
+#include "platform/affinity.hpp"
 #include "platform/rng.hpp"
 #include "platform/timing.hpp"
 #include "qsv/qsv.hpp"
@@ -89,8 +91,9 @@ Outcome serve(std::size_t threads, double seconds) {
         (void)table.lookup(static_cast<std::size_t>(rng.next_below(1024)));
         ++my_reads;
       }
-      if (rank == 0 && (++ops & 0x7f) == 0 &&
-          qsv::platform::now_ns() >= deadline) {
+      // Every rank watches the clock: readers that starve the refresher
+      // (the reader-preference baseline) must still stop on time.
+      if ((++ops & 0x7f) == 0 && qsv::platform::now_ns() >= deadline) {
         stop.store(true, std::memory_order_relaxed);
       }
     }
@@ -106,9 +109,17 @@ Outcome serve(std::size_t threads, double seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::size_t cpus = qsv::platform::available_cpus();
   const std::size_t threads = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                       : 8;
+                                       : cpus;
   const double seconds = argc > 2 ? std::strtod(argv[2], nullptr) : 0.5;
+  // Pure spinning needs a CPU per thread: a FIFO handoff to a waiter
+  // that is not running stalls every waiter queued behind it. A crew
+  // that outnumbers the CPUs yields once its spin budget runs out.
+  if (threads > cpus &&
+      qsv::get_default_wait_policy() == qsv::wait_policy::spin) {
+    qsv::set_default_wait_policy(qsv::wait_policy::spin_yield);
+  }
 
   const auto qsv_out = serve<qsv::shared_mutex>(threads, seconds);
   const auto central_out =

@@ -39,8 +39,9 @@ enum Capability : std::uint32_t {
 
   // Wait modes: which qsv::wait_policy values make(capacity, policy)
   // honors. All four or none — runtime-configurable primitives accept
-  // the whole enum; hardwired spinners (tas, ticket, std adapters)
-  // ignore the policy argument and advertise no mode.
+  // the whole enum; hardwired spinners (tas, ticket, std adapters), and
+  // cohort compositions with a hardwired tier, ignore the policy
+  // argument and advertise no mode.
   kWaitSpin     = 1u << 8,
   kWaitYield    = 1u << 9,
   kWaitPark     = 1u << 10,
@@ -224,6 +225,29 @@ concept WaitConfigurable =
     std::is_constructible_v<T, qsv::wait_policy> ||
     std::is_constructible_v<T, std::size_t, qsv::wait_policy>;
 
+/// A composition of two component locks (the cohort combinator) that
+/// names its tiers.
+template <typename T>
+concept HasComponentLocks = requires {
+  typename T::global_lock_type;
+  typename T::local_lock_type;
+};
+
+/// True when the type's waiters follow the policy it is built with. A
+/// composition forwards the policy to its tiers, so it honors one only
+/// when both tiers take it: a hardwired tier (the ticket lock) keeps
+/// its waiters spinning whatever the policy says.
+template <typename T>
+constexpr bool honors_wait_policy() {
+  if constexpr (HasComponentLocks<T>) {
+    return WaitConfigurable<T> &&
+           honors_wait_policy<typename T::global_lock_type>() &&
+           honors_wait_policy<typename T::local_lock_type>();
+  } else {
+    return WaitConfigurable<T>;
+  }
+}
+
 /// The derived capability set of a concrete primitive type.
 template <typename T>
 constexpr std::uint32_t caps_of() {
@@ -242,7 +266,7 @@ constexpr std::uint32_t caps_of() {
                 HasAccumulatorFace<T>) {
     caps |= kCombining;
   }
-  if constexpr (WaitConfigurable<T>) caps |= kWaitModeMask;
+  if constexpr (honors_wait_policy<T>()) caps |= kWaitModeMask;
   if constexpr (HasTelemetry<T>) caps |= kObservable;
   return caps;
 }

@@ -103,6 +103,11 @@ class CohortLock {
                 "kThreadObliviousUnlock");
 
  public:
+  /// The tiers, named so the catalogue can derive the wait modes the
+  /// composition honors from both (catalog/capability.hpp).
+  using global_lock_type = GlobalLock;
+  using local_lock_type = LocalLock;
+
   /// Default local-handoff budget, matching HierQsvMutex's tuning.
   static constexpr std::size_t kDefaultBudget = 16;
 

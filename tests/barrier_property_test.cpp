@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "battery.hpp"
 #include "catalog/catalog.hpp"
 #include "harness/team.hpp"
 #include "platform/cache.hpp"
@@ -31,6 +32,9 @@ TEST_P(BarrierProperty, NoEarlyCrossing) {
   const auto* entry = qsv::catalog::find(name);
   ASSERT_NE(entry, nullptr);
   ASSERT_EQ(entry->family, qsv::catalog::Family::kBarrier);
+  // Teams outnumbering the CPUs wait under spin_yield (battery.hpp's
+  // rule); std::barrier blocks in the kernel whatever the policy.
+  const qsv::test::CrewPolicy policy(team);
   auto barrier = entry->make(team);
   const auto profile = profile_by_name(shake);
 
@@ -41,7 +45,7 @@ TEST_P(BarrierProperty, NoEarlyCrossing) {
   std::vector<qsv::platform::Padded<std::atomic<std::size_t>>> arrived(team);
   std::atomic<std::uint64_t> violations{0};
 
-  qsv::harness::ThreadTeam::run(team, [&](std::size_t rank) {
+  qsv::test::run_crew(team, [&](std::size_t rank) {
     qsv::validate::ScheduleShaker shaker(profile, 0xFACADE, rank);
     for (std::size_t e = 1; e <= episodes; ++e) {
       shaker.maybe_perturb();

@@ -15,40 +15,11 @@
 #include "barriers/dissemination.hpp"
 #include "barriers/mcs_tree.hpp"
 #include "barriers/tournament.hpp"
+#include "battery.hpp"
 #include "harness/team.hpp"
-#include "platform/cache.hpp"
 
 namespace qb = qsv::barriers;
-
-namespace {
-
-/// Phase-integrity battery: each thread writes phase-stamped values,
-/// crosses the barrier, and verifies every teammate finished the same
-/// phase. A single early or late release shows up as a stale stamp.
-template <typename Barrier, typename... Args>
-void phase_integrity(std::size_t team, std::size_t episodes, Args... args) {
-  Barrier barrier(team, args...);
-  qsv::platform::PaddedArray<std::atomic<std::uint64_t>> stamps(team);
-  for (std::size_t i = 0; i < team; ++i) stamps[i].store(0);
-  std::atomic<std::uint64_t> failures{0};
-
-  qsv::harness::ThreadTeam::run(team, [&](std::size_t rank) {
-    for (std::size_t e = 1; e <= episodes; ++e) {
-      stamps[rank].store(e, std::memory_order_release);
-      barrier.arrive_and_wait(rank);
-      // Everyone must have written phase e by now (and nobody phase e+1
-      // is impossible: they cannot pass the next barrier without us).
-      for (std::size_t t = 0; t < team; ++t) {
-        const auto s = stamps[t].load(std::memory_order_acquire);
-        if (s != e) failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      barrier.arrive_and_wait(rank);  // close the read phase
-    }
-  });
-  EXPECT_EQ(failures.load(), 0u);
-}
-
-}  // namespace
+using qsv::test::phase_integrity;
 
 // --------------------------------------------------- typed battery sweep
 
@@ -108,10 +79,11 @@ TEST(CentralBarrier, ManyEpisodesSequentialConsistencyCheck) {
   // Counter incremented once per thread per episode; after each episode
   // everyone must read exactly team*episode.
   constexpr std::size_t kTeam = 4, kEpisodes = 1000;
+  const qsv::test::CrewPolicy policy(kTeam);
   qb::CentralBarrier barrier(kTeam);
   std::atomic<std::uint64_t> counter{0};
   std::atomic<std::uint64_t> failures{0};
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
+  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
     for (std::size_t e = 1; e <= kEpisodes; ++e) {
       counter.fetch_add(1, std::memory_order_relaxed);
       barrier.arrive_and_wait(rank);
@@ -136,11 +108,12 @@ TEST(Catalog, BarrierViewListsAllBaselines) {
 }
 
 TEST(Catalog, EveryBarrierEntryPassesSmokeIntegrity) {
+  const qsv::test::CrewPolicy policy(4);
   for (const auto* entry : qsv::catalog::barriers()) {
     auto barrier = entry->make(4);
     std::atomic<std::uint64_t> counter{0};
     std::atomic<std::uint64_t> failures{0};
-    qsv::harness::ThreadTeam::run(4, [&](std::size_t rank) {
+    qsv::test::run_crew(4, [&](std::size_t rank) {
       for (std::size_t e = 1; e <= 200; ++e) {
         counter.fetch_add(1);
         barrier->arrive_and_wait(rank);

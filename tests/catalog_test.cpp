@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "battery.hpp"
 #include "catalog/catalog.hpp"
 #include "core/qsv_mutex.hpp"
 #include "harness/team.hpp"
@@ -87,11 +89,11 @@ TEST(Catalog, WaitModeBitsReplaceThePerPolicyEntries) {
 
 namespace {
 
-/// A short 4-thread integrity run through the row's erased faces: true
-/// when the primitive kept its contract (exclusion, aligned episodes,
-/// every event seen, every element conserved).
-bool integrity_run(qc::AnyPrimitive& p, std::uint32_t caps) {
-  constexpr std::size_t kThreads = 4;
+/// A short integrity run of `kThreads` threads through the row's erased
+/// faces: true when the primitive kept its contract (exclusion, aligned
+/// episodes, every event seen, every element conserved).
+bool integrity_run(qc::AnyPrimitive& p, std::uint32_t caps,
+                   std::size_t kThreads) {
   constexpr std::uint64_t kOps = 100;
   if (caps & qc::kContainerMask) {
     // Conservation: every element pushed (or key inserted, or unit
@@ -164,20 +166,47 @@ bool integrity_run(qc::AnyPrimitive& p, std::uint32_t caps) {
 TEST(Catalog, EveryWaitConfigurableRowKeepsItsContractUnderEveryPolicy) {
   // Every row carrying the wait-mode bits is built through its
   // catalogue factory under each policy — the path the policy-taking
-  // constructors are reached by — and run on four threads.
-  std::size_t rows = 0;
+  // constructors are reached by — and run on four threads (as many as
+  // the CPUs under pure spin).
+  std::vector<std::string> rows;
   for (const auto& e : qc::all()) {
     if ((e.caps & qc::kWaitModeMask) == 0) continue;
-    ++rows;
+    rows.push_back(e.name);
     for (const qsv::wait_policy p : qsv::kAllWaitPolicies) {
       ASSERT_TRUE(e.has_wait_mode(p)) << e.name;
-      auto prim = e.make_with(4, p);
+      const std::size_t threads =
+          p == qsv::wait_policy::spin ? qsv::test::capped_crew(4) : 4;
+      auto prim = e.make_with(threads, p);
       ASSERT_NE(prim, nullptr) << e.name;
-      EXPECT_TRUE(integrity_run(*prim, e.caps))
+      EXPECT_TRUE(integrity_run(*prim, e.caps, threads))
           << e.name << " under " << qsv::wait_policy_name(p);
     }
   }
-  EXPECT_GE(rows, 28u);  // every such row at the time of writing
+  const std::vector<std::string> expected = {
+      "anderson", "clh", "mcs", "qsv", "qsv-timeout", "hier-qsv",
+      "cohort/qsv+qsv", "cohort/mcs+mcs", "central", "combining-tree",
+      "tournament", "dissemination", "mcs-tree", "qsv-episode", "qsv-rw",
+      "qsv-rw/central", "fc-mutex", "fc/queue", "plain/queue", "fc/map",
+      "plain/map", "fc/map/cohort", "fc-counter", "eventcount",
+      "queued-ec"};
+  EXPECT_EQ(rows, expected);
+}
+
+TEST(Catalog, CohortWaitModesComeFromBothTiers) {
+  // A composition honors a policy only when both tiers take one: a
+  // ticket tier spins whatever the policy, so its rows claim no mode.
+  for (const char* name :
+       {"cohort/qsv+ticket", "cohort/ticket+mcs", "cohort/ticket+ticket"}) {
+    const auto* e = qc::find(name);
+    ASSERT_NE(e, nullptr) << name;
+    EXPECT_EQ(e->caps & qc::kWaitModeMask, 0u) << name;
+  }
+  for (const char* name :
+       {"cohort/qsv+qsv", "cohort/mcs+mcs", "fc/map/cohort"}) {
+    const auto* e = qc::find(name);
+    ASSERT_NE(e, nullptr) << name;
+    EXPECT_TRUE(e->has(qc::kWaitModeMask)) << name;
+  }
 }
 
 TEST(Catalog, NamesAreUniqueAndFamiliesConsistent) {

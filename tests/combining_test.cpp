@@ -1,4 +1,6 @@
 // combining_test.cpp — linearizable fetch&add through the combining tree.
+// The tree's waits spin whatever the policy, so its crews never
+// outnumber the CPUs (battery.hpp's rule).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,6 +8,7 @@
 #include <mutex>
 #include <vector>
 
+#include "battery.hpp"
 #include "combining/combining_tree.hpp"
 #include "combining/flat_counter.hpp"
 #include "harness/team.hpp"
@@ -37,10 +40,10 @@ TEST(CombiningTree, SequentialSemantics) {
 
 TEST(CombiningTree, ConcurrentSumIsExact) {
   qc::CombiningTree c(qsv::platform::kMaxThreads);
-  constexpr int kOps = 20000;
-  constexpr std::size_t kTeam = 8;
+  const std::size_t kTeam = qsv::test::dedicated_crew();
+  const std::size_t kOps = qsv::test::quota(160000, kTeam);
   qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
-    for (int i = 0; i < kOps; ++i) c.fetch_add(1);
+    for (std::size_t i = 0; i < kOps; ++i) c.fetch_add(1);
   });
   EXPECT_EQ(c.read(), static_cast<std::int64_t>(kOps * kTeam));
 }
@@ -49,18 +52,18 @@ TEST(CombiningTree, PriorsAreUniqueAndDense) {
   // Linearizability witness for unit increments: the returned priors
   // must be exactly {0, 1, ..., N-1} with no duplicates or gaps.
   qc::CombiningTree c(qsv::platform::kMaxThreads);
-  constexpr int kOps = 5000;
-  constexpr std::size_t kTeam = 8;
+  const std::size_t kTeam = qsv::test::dedicated_crew();
+  const std::size_t kOps = qsv::test::quota(40000, kTeam);
   std::vector<std::int64_t> priors;
   std::mutex mu;
   qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
     std::vector<std::int64_t> local;
     local.reserve(kOps);
-    for (int i = 0; i < kOps; ++i) local.push_back(c.fetch_add(1));
+    for (std::size_t i = 0; i < kOps; ++i) local.push_back(c.fetch_add(1));
     std::lock_guard<std::mutex> g(mu);
     priors.insert(priors.end(), local.begin(), local.end());
   });
-  ASSERT_EQ(priors.size(), static_cast<std::size_t>(kOps) * kTeam);
+  ASSERT_EQ(priors.size(), kOps * kTeam);
   std::sort(priors.begin(), priors.end());
   for (std::size_t i = 0; i < priors.size(); ++i) {
     ASSERT_EQ(priors[i], static_cast<std::int64_t>(i)) << "gap/dup at " << i;
@@ -69,7 +72,7 @@ TEST(CombiningTree, PriorsAreUniqueAndDense) {
 
 TEST(CombiningTree, MixedDeltasConserveSum) {
   qc::CombiningTree c(qsv::platform::kMaxThreads);
-  constexpr std::size_t kTeam = 6;
+  const std::size_t kTeam = qsv::test::dedicated_crew();
   std::atomic<std::int64_t> expected{0};
   qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
     std::int64_t mine = 0;
@@ -85,10 +88,11 @@ TEST(CombiningTree, MixedDeltasConserveSum) {
 
 TEST(CombiningTree, TinyCapacityDegeneratesToLatchedCounter) {
   qc::CombiningTree c(1);  // single leaf == root
-  qsv::harness::ThreadTeam::run(2, [&](std::size_t) {
+  const std::size_t kTeam = qsv::test::capped_crew(2);
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
     for (int i = 0; i < 5000; ++i) c.fetch_add(1);
   });
-  EXPECT_EQ(c.read(), 10000);
+  EXPECT_EQ(c.read(), static_cast<std::int64_t>(kTeam) * 5000);
 }
 
 TEST(CombiningTree, NodeCountMatchesPerfectTree) {

@@ -4,12 +4,13 @@
 #include <atomic>
 #include <cstdint>
 
+#include "battery.hpp"
 #include "core/qsv_barrier.hpp"
 #include "harness/team.hpp"
-#include "platform/cache.hpp"
 #include "qsv/concepts.hpp"
 
 namespace qc = qsv::core;
+using qsv::test::phase_integrity;
 
 TEST(QsvBarrier, SatisfiesPhaseBarrierConcept) {
   static_assert(qsv::api::episode_barrier<qc::QsvBarrier>);
@@ -22,30 +23,6 @@ TEST(QsvBarrier, SingleThreadNeverBlocks) {
   SUCCEED();
 }
 
-namespace {
-
-template <typename Barrier, typename... Args>
-void phase_integrity(std::size_t team, std::size_t episodes, Args... args) {
-  Barrier barrier(team, args...);
-  qsv::platform::PaddedArray<std::atomic<std::uint64_t>> stamps(team);
-  for (std::size_t i = 0; i < team; ++i) stamps[i].store(0);
-  std::atomic<std::uint64_t> failures{0};
-  qsv::harness::ThreadTeam::run(team, [&](std::size_t rank) {
-    for (std::size_t e = 1; e <= episodes; ++e) {
-      stamps[rank].store(e, std::memory_order_release);
-      barrier.arrive_and_wait(rank);
-      for (std::size_t t = 0; t < team; ++t) {
-        if (stamps[t].load(std::memory_order_acquire) != e) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      barrier.arrive_and_wait(rank);
-    }
-  });
-  EXPECT_EQ(failures.load(), 0u);
-}
-
-}  // namespace
 
 TEST(QsvBarrier, PhaseIntegrityTeam2) {
   phase_integrity<qc::QsvBarrier>(2, 1000);
@@ -66,10 +43,11 @@ TEST(QsvBarrier, PhaseIntegrityParkWait) {
 
 TEST(QsvBarrier, CounterConsistencyLongRun) {
   constexpr std::size_t kTeam = 6, kEpisodes = 2000;
+  const qsv::test::CrewPolicy policy(kTeam);
   qc::QsvBarrier barrier(kTeam);
   std::atomic<std::uint64_t> counter{0};
   std::atomic<std::uint64_t> failures{0};
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
+  qsv::test::run_crew(kTeam, [&](std::size_t) {
     for (std::size_t e = 1; e <= kEpisodes; ++e) {
       counter.fetch_add(1, std::memory_order_relaxed);
       barrier.arrive_and_wait();
@@ -86,9 +64,10 @@ TEST(QsvBarrier, TwoBarriersInterleaved) {
   // Alternating between two independent episode variables must not mix
   // their queues.
   constexpr std::size_t kTeam = 4, kEpisodes = 500;
+  const qsv::test::CrewPolicy policy(kTeam);
   qc::QsvBarrier ba(kTeam), bb(kTeam);
   std::atomic<std::uint64_t> a{0}, b{0}, failures{0};
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
+  qsv::test::run_crew(kTeam, [&](std::size_t) {
     for (std::size_t e = 1; e <= kEpisodes; ++e) {
       a.fetch_add(1);
       ba.arrive_and_wait();

@@ -7,34 +7,16 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "core/qsv_mutex.hpp"
 #include "obs/hook.hpp"
 #include "harness/team.hpp"
-#include "platform/affinity.hpp"
 #include "platform/rng.hpp"
 #include "qsv/concepts.hpp"
 #include "workload/critical_section.hpp"
 
 namespace qc = qsv::core;
 namespace qp = qsv::platform;
-
-namespace {
-
-template <typename Mutex>
-void exclusion_battery(Mutex& mutex, std::size_t team, std::size_t ops) {
-  qsv::workload::GuardedCounter counter;
-  qsv::harness::ThreadTeam::run(team, [&](std::size_t) {
-    for (std::size_t i = 0; i < ops; ++i) {
-      mutex.lock();
-      counter.bump();
-      mutex.unlock();
-    }
-  });
-  EXPECT_TRUE(counter.consistent());
-  EXPECT_EQ(counter.value(), team * ops);
-}
-
-}  // namespace
 
 TEST(QsvMutex, SatisfiesLockableConcept) {
   static_assert(qsv::api::basic_lockable<qc::QsvMutex<>>);
@@ -51,36 +33,10 @@ TEST(QsvMutex, UncontendedLockUnlock) {
   SUCCEED();
 }
 
-TEST(QsvMutex, MutualExclusion2Threads) {
-  qc::QsvMutex<> m;
-  exclusion_battery(m, 2, 20000);
-}
-
-TEST(QsvMutex, MutualExclusion8Threads) {
-  qc::QsvMutex<> m;
-  exclusion_battery(m, 8, 5000);
-}
-
-TEST(QsvMutex, MutualExclusion16Threads) {
-  qc::QsvMutex<> m;
-  exclusion_battery(m, 16, 2000);
-}
-
-TEST(QsvMutex, ParkWaitVariant) {
-  qc::QsvMutex<> m(qsv::wait_policy::park);
-  exclusion_battery(m, 8, 5000);
-}
-
-TEST(QsvMutex, YieldWaitVariant) {
-  qc::QsvMutex<> m(qsv::wait_policy::spin_yield);
-  exclusion_battery(m, 8, 5000);
-}
-
 TEST(QsvMutex, OversubscribedParkWait) {
   // More threads than cores: the park policy must still make progress.
   qc::QsvMutex<> m(qsv::wait_policy::park);
-  const std::size_t team = qp::available_cpus() + 4;
-  exclusion_battery(m, team, 1000);
+  qsv::test::exclusion_battery(m, qsv::test::oversubscribed_crew(), 1000);
 }
 
 TEST(QsvMutex, TryLockSemantics) {
@@ -116,7 +72,8 @@ TEST(QsvMutex, GuardInterop) {
 TEST(QsvMutex, FifoHandoffOrder) {
   // Serialize arrivals, then verify admission follows arrival order.
   qc::QsvMutex<> m;
-  constexpr std::size_t kTeam = 4, kRounds = 500;
+  constexpr std::size_t kRounds = 500;
+  const std::size_t kTeam = qsv::test::capped_crew(4);
   std::atomic<std::uint64_t> dispenser{0};
   std::vector<std::uint64_t> admitted;
   admitted.reserve(kTeam * kRounds);
@@ -162,8 +119,11 @@ TEST(QsvMutex, TelemetryClassifiesAcquisitions) {
 }
 
 TEST(QsvMutex, StressManyLocksManyThreads) {
-  // 4 locks x 8 threads, random interleaving; global integrity per lock.
-  constexpr std::size_t kLocks = 4, kTeam = 8, kOps = 3000;
+  // 4 locks x one thread per CPU, random interleaving; global integrity
+  // per lock.
+  constexpr std::size_t kLocks = 4;
+  const std::size_t kTeam = qsv::test::dedicated_crew();
+  const std::size_t kOps = qsv::test::quota(24000, kTeam);
   std::vector<qc::QsvMutex<>> locks(kLocks);
   std::vector<qsv::workload::GuardedCounter> counters(kLocks);
   qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {

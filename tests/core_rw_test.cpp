@@ -5,11 +5,11 @@
 #include <chrono>
 #include <thread>
 
+#include "battery.hpp"
 #include "core/qsv_rwlock.hpp"
 #include "harness/team.hpp"
 #include "platform/backoff.hpp"
 #include "qsv/concepts.hpp"
-#include "workload/rw_mix.hpp"
 
 namespace qc = qsv::core;
 
@@ -44,6 +44,7 @@ TEST(QsvRwLock, ReadersOverlap) {
 }
 
 TEST(QsvRwLock, WriterExcludesReadersAndWriters) {
+  const qsv::test::CrewPolicy policy(2);  // a reader and a writer wait
   qc::QsvRwLock<> lock;
   lock.lock();
   std::atomic<int> entered{0};
@@ -67,33 +68,16 @@ TEST(QsvRwLock, WriterExcludesReadersAndWriters) {
 
 TEST(QsvRwLock, InvariantBatteryAcrossRatios) {
   for (double ratio : {0.05, 0.5, 0.95}) {
+    SCOPED_TRACE(ratio);
     qc::QsvRwLock<> lock;
-    qsv::workload::VersionedCells cells;
-    std::atomic<std::uint64_t> torn{0};
-    std::atomic<std::uint64_t> writes{0};
-    qsv::harness::ThreadTeam::run(8, [&](std::size_t rank) {
-      qsv::workload::RwMix mix(ratio, 31 * rank + 7);
-      for (int i = 0; i < 3000; ++i) {
-        if (mix.next_is_read()) {
-          lock.lock_shared();
-          if (!cells.read_consistent()) torn.fetch_add(1);
-          lock.unlock_shared();
-        } else {
-          lock.lock();
-          cells.write();
-          writes.fetch_add(1, std::memory_order_relaxed);
-          lock.unlock();
-        }
-      }
-    });
-    EXPECT_EQ(torn.load(), 0u) << "ratio " << ratio;
-    EXPECT_EQ(cells.version(), writes.load()) << "ratio " << ratio;
+    qsv::test::rw_battery(lock, qsv::test::dedicated_crew(), 3000, ratio);
   }
 }
 
 TEST(QsvRwLock, PhaseFairnessNoWriterStarvation) {
   // Saturate with readers; a writer must still get in (reader-preference
   // locks fail this under continuous read arrivals).
+  const qsv::test::CrewPolicy policy(7);  // six readers and the writer
   qc::QsvRwLock<> lock;
   std::atomic<bool> stop{false};
   std::atomic<bool> writer_done{false};
@@ -126,6 +110,7 @@ TEST(QsvRwLock, PhaseFairnessNoWriterStarvation) {
 TEST(QsvRwLock, PhaseFairnessNoReaderStarvation) {
   // Saturate with writers; a reader must still get in (writer-preference
   // locks fail this).
+  const qsv::test::CrewPolicy policy(5);  // four writers and the reader
   qc::QsvRwLock<> lock;
   std::atomic<bool> stop{false};
   std::atomic<bool> reader_done{false};
@@ -158,7 +143,8 @@ TEST(QsvRwLock, WritersAreFifo) {
   // Writer tickets serve in order: admission sequence must match ticket
   // order (bounded displacement as in the mutex FIFO test).
   qc::QsvRwLock<> lock;
-  constexpr std::size_t kTeam = 4, kRounds = 400;
+  constexpr std::size_t kRounds = 400;
+  const std::size_t kTeam = qsv::test::capped_crew(4);
   std::atomic<std::uint64_t> dispenser{0};
   std::vector<std::uint64_t> admitted;
   admitted.reserve(kTeam * kRounds);

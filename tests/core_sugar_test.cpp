@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "core/condvar.hpp"
 #include "core/qsv_mutex.hpp"
 #include "core/semaphore.hpp"
@@ -46,11 +47,12 @@ TEST(QsvSemaphore, BoundsConcurrencyExactly) {
   // With k permits, at most k threads may be inside simultaneously.
   constexpr std::int64_t kPermits = 3;
   constexpr std::size_t kTeam = 8;
+  const qsv::test::CrewPolicy policy(kTeam);
   qc::QsvSemaphore sem(kPermits);
   std::atomic<int> inside{0};
   std::atomic<int> peak{0};
   std::atomic<std::uint64_t> violations{0};
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
+  qsv::test::run_crew(kTeam, [&](std::size_t) {
     for (int i = 0; i < 2000; ++i) {
       sem.acquire();
       const int now = inside.fetch_add(1) + 1;
@@ -72,6 +74,7 @@ TEST(QsvSemaphore, BoundsConcurrencyExactly) {
 }
 
 TEST(QsvSemaphore, BulkRelease) {
+  const qsv::test::CrewPolicy policy(4);
   qc::QsvSemaphore sem(0);
   std::atomic<int> through{0};
   std::vector<std::thread> threads;
@@ -112,6 +115,7 @@ TEST(QsvCondVar, SignalWakesWaiter) {
 }
 
 TEST(QsvCondVar, NotifyAllWakesEveryone) {
+  const qsv::test::CrewPolicy policy(7);  // six waiters and the notifier
   qc::QsvMutex<> m;
   qc::QsvCondVar cv;
   bool go = false;
@@ -135,6 +139,7 @@ TEST(QsvCondVar, NotifyAllWakesEveryone) {
 }
 
 TEST(QsvCondVar, ProducerConsumerHandshake) {
+  const qsv::test::CrewPolicy policy(2);
   qc::QsvMutex<> m;
   qc::QsvCondVar cv_full, cv_empty;
   int slot = 0;       // 0 = empty

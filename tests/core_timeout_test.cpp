@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "core/qsv_timeout.hpp"
 #include "harness/team.hpp"
 #include "platform/rng.hpp"
@@ -53,27 +54,20 @@ TEST(QsvTimeoutMutex, SucceedsWithinDeadline) {
 
 TEST(QsvTimeoutMutex, MutualExclusionNoTimeouts) {
   qc::QsvTimeoutMutex m;
-  qsv::workload::GuardedCounter counter;
-  constexpr std::size_t kTeam = 8, kOps = 4000;
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
-    for (std::size_t i = 0; i < kOps; ++i) {
-      m.lock();
-      counter.bump();
-      m.unlock();
-    }
-  });
-  EXPECT_TRUE(counter.consistent());
-  EXPECT_EQ(counter.value(), kTeam * kOps);
+  const std::size_t team = qsv::test::dedicated_crew();
+  qsv::test::exclusion_battery(m, team, qsv::test::quota(32000, team));
 }
 
 TEST(QsvTimeoutMutex, MutualExclusionUnderAbortStorm) {
   // Mixed population: some acquisitions use tiny timeouts and often
   // abort; the counter must stay consistent and equal the successful
-  // acquisition count.
+  // acquisition count. One thread per allowed CPU: the patient half
+  // spins at the process-default policy (battery.hpp's rule).
   qc::QsvTimeoutMutex m;
   qsv::workload::GuardedCounter counter;
   std::atomic<std::uint64_t> successes{0};
-  constexpr std::size_t kTeam = 8, kOps = 3000;
+  const std::size_t kTeam = qsv::test::dedicated_crew();
+  const std::size_t kOps = qsv::test::quota(24000, kTeam);
   qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
     qsv::platform::Xoshiro256 rng(rank * 13 + 1);
     for (std::size_t i = 0; i < kOps; ++i) {

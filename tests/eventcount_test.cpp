@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "eventcount/bounded_ring.hpp"
 #include "eventcount/eventcount.hpp"
 #include "eventcount/sequencer.hpp"
@@ -63,12 +64,10 @@ TEST(Sequencer, TicketsMonotonicPerThread) {
 // ------------------------------------------- eventcount (typed sweep)
 //
 // The heavy sweeps run the two runtime-polymorphic eventcounts at the
-// process default policy, so on constrained hosts ctest's
-// QSV_WAIT=spin_yield environment keeps many-waiter stress off the
-// pure-spin path (pinned pure-spin instantiations are what blew the
-// 600s timeout on 1-CPU machines). Per-policy blocking
-// coverage lives in the light value-parameterized suite below and in
-// wait_policy_test's facade matrix.
+// process default policy; a crew that outnumbers the CPUs waits under
+// spin_yield instead of pure spin (battery.hpp's rule). Per-policy
+// blocking coverage lives in the light value-parameterized suite below
+// and in wait_policy_test's facade matrix.
 
 template <typename Ec>
 class EventCountTyped : public ::testing::Test {};
@@ -116,9 +115,10 @@ TYPED_TEST(EventCountTyped, AwaitBlocksUntilAdvance) {
 }
 
 TYPED_TEST(EventCountTyped, ManyWaitersAllReleasedByOneAdvance) {
+  const qsv::test::CrewPolicy policy(kThreads);
   TypeParam ec;
   std::atomic<std::size_t> released{0};
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
+  qsv::test::run_crew(kThreads, [&](std::size_t rank) {
     if (rank == 0) {
       // Let the waiters register, then fire.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -132,9 +132,10 @@ TYPED_TEST(EventCountTyped, ManyWaitersAllReleasedByOneAdvance) {
 }
 
 TYPED_TEST(EventCountTyped, StaggeredTargetsReleaseInOrder) {
+  const qsv::test::CrewPolicy policy(kThreads);
   TypeParam ec;
   std::vector<std::uint32_t> seen(kThreads, 0);
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
+  qsv::test::run_crew(kThreads, [&](std::size_t rank) {
     if (rank == 0) {
       for (std::uint32_t i = 0; i < kThreads - 1; ++i) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -153,9 +154,10 @@ TYPED_TEST(EventCountTyped, StaggeredTargetsReleaseInOrder) {
 TYPED_TEST(EventCountTyped, HammerAwaitAdvanceNoLostWakeups) {
   // Lost-wakeup hunting: half the threads advance, half await the next
   // value they have seen; every await must eventually return.
+  const qsv::test::CrewPolicy policy(4);
   TypeParam ec;
   constexpr std::uint32_t kEvents = 20000;
-  qsv::harness::ThreadTeam::run(4, [&](std::size_t rank) {
+  qsv::test::run_crew(4, [&](std::size_t rank) {
     if (rank % 2 == 0) {
       for (std::uint32_t i = 0; i < kEvents / 2; ++i) ec.advance();
     } else {
@@ -232,6 +234,7 @@ TEST(QueuedEventCount, WithdrawnWaitersDoNotLeakGrants) {
 
 template <typename Ring>
 void ring_spsc_fifo() {
+  const qsv::test::CrewPolicy policy(2);
   Ring ring(8);
   constexpr std::uint32_t kItems = 50000;
   std::thread producer([&] {
@@ -261,12 +264,13 @@ TEST(EcBoundedRing, SpscFifoParkWait) {
 
 template <typename Ring>
 void ring_mpmc_conservation() {
-  Ring ring(16);
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kConsumers = 4;
+  const qsv::test::CrewPolicy policy(kProducers + kConsumers);
+  Ring ring(16);
   constexpr std::uint64_t kPer = 20000;
   std::atomic<std::uint64_t> sum{0};
-  qsv::harness::ThreadTeam::run(kProducers + kConsumers, [&](std::size_t r) {
+  qsv::test::run_crew(kProducers + kConsumers, [&](std::size_t r) {
     if (r < kProducers) {
       for (std::uint64_t i = 0; i < kPer; ++i) {
         ring.push(static_cast<std::uint32_t>(r * kPer + i));

@@ -2,11 +2,10 @@
 // protocol (inline-first election, combine-pass budget, record aging,
 // history-independent record lookup, threads past the record table),
 // the counter / queue / map containers built on it, and the
-// catalogue-wide property battery over every kCombining entry. Runs
-// under QSV_WAIT=spin_yield (ctest ENVIRONMENT) so the contended
-// batteries stay fast on 1-CPU hosts; the parked-election stress names
-// its policies explicitly so the parking path runs whatever the
-// environment says.
+// catalogue-wide property battery over every kCombining entry. The
+// contended crews run at the process-default policy and never outnumber
+// the CPUs (battery.hpp's rule); the parked-election stress names its
+// policies explicitly so the parking path runs whatever QSV_WAIT says.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "catalog/catalog.hpp"
 #include "combining/fc_executor.hpp"
 #include "combining/fc_queue.hpp"
@@ -39,8 +39,11 @@ namespace cat = qsv::catalog;
 
 namespace {
 
-constexpr std::size_t kThreads = 4;
+const std::size_t kThreads = qsv::test::capped_crew(4);
 constexpr std::size_t kOps = 2000;
+/// The parked-election crew: explicit park/adaptive, so it may outnumber
+/// the CPUs.
+constexpr std::size_t kParkedThreads = 4;
 
 /// A mutex whose try_lock refuses every other call, so each run() loses
 /// its inline election, publishes, and wins its retry: the publication
@@ -375,8 +378,8 @@ TEST(FcExecutor, MutexFaceSerializesWithDelegation) {
 
 // ------------------------------------------------ parked elections
 //
-// ctest pins this suite to spin_yield, so the executor is built with an
-// explicit parking policy and a 1-poll spin budget: election losers
+// The executor is built with an explicit parking policy and a 1-poll
+// spin budget, whatever the process default: election losers
 // sleep on the tenure epoch on nearly every wait. A poster no tenure
 // end wakes is stranded for good, so a watchdog aborts the process
 // (failing ctest) instead of letting the suite hang. Each closure burns
@@ -395,7 +398,7 @@ TEST_P(ParkedElections, EveryOpRunsExactlyOnce) {
   qsv::set_default_spin_budget(saved_budget);
 
   qsv::workload::GuardedCounter counter;
-  std::vector<std::uint64_t> tally(kThreads, 0);  // written under exec
+  std::vector<std::uint64_t> tally(kParkedThreads, 0);  // under exec
   std::atomic<std::uint64_t> progress{0};
   std::atomic<std::uint64_t> mismatches{0};
   std::atomic<bool> done{false};
@@ -418,7 +421,7 @@ TEST_P(ParkedElections, EveryOpRunsExactlyOnce) {
       }
     }
   });
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
+  qsv::test::run_crew(kParkedThreads, [&](std::size_t rank) {
     std::uint64_t bad = 0;
     for (std::size_t i = 0; i < kStressOps; ++i) {
       exec.run([&] {
@@ -436,12 +439,14 @@ TEST_P(ParkedElections, EveryOpRunsExactlyOnce) {
 
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_TRUE(counter.consistent());
-  EXPECT_EQ(counter.value(), kThreads * kStressOps);
-  for (std::size_t r = 0; r < kThreads; ++r) EXPECT_EQ(tally[r], kStressOps);
+  EXPECT_EQ(counter.value(), kParkedThreads * kStressOps);
+  for (std::size_t r = 0; r < kParkedThreads; ++r) {
+    EXPECT_EQ(tally[r], kStressOps);
+  }
   const auto st = exec.stats();
-  EXPECT_EQ(st.applied, kThreads * kStressOps);
+  EXPECT_EQ(st.applied, kParkedThreads * kStressOps);
   EXPECT_LE(st.passes, st.tenures * qc::FcConfig{}.max_passes);
-  if (std::thread::hardware_concurrency() >= 2) {
+  if (qsv::platform::available_cpus() >= 2) {
     EXPECT_GT(st.passes, 0u);  // some elections were lost and combined
   }
 }
@@ -541,10 +546,11 @@ TEST(FcMpmcQueue, BlockingPushPopAcrossATinyRing) {
   // item over in order. A combiner that slept on queue state would
   // deadlock here.
   constexpr std::uint64_t kItems = 2000;
+  const qsv::test::CrewPolicy policy(2);  // the producer and the consumer
   qc::FcMpmcQueue<std::uint64_t> q(2, qsv::get_default_wait_policy());
   std::vector<std::uint64_t> received;
   received.reserve(kItems);
-  qsv::harness::ThreadTeam::run(2, [&](std::size_t rank) {
+  qsv::test::run_crew(2, [&](std::size_t rank) {
     if (rank == 0) {
       for (std::uint64_t i = 0; i < kItems; ++i) q.push(i);
     } else {

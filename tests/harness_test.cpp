@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "battery.hpp"
 #include "benchreg/kernels.hpp"
 #include "catalog/catalog.hpp"
 #include "harness/team.hpp"
@@ -35,12 +36,13 @@ TEST(Runner, ProducesConsistentThroughput) {
   if (qsv::platform::available_cpus() < 2) {
     GTEST_SKIP() << "needs >= 2 processors to overlap the team";
   }
-  auto lock = qsv::catalog::find("mcs")->make(4);
-  const auto result = qsv::benchreg::run_lock_loop(*lock, 4, 0.1);
+  const std::size_t team = qsv::test::capped_crew(4);
+  auto lock = qsv::catalog::find("mcs")->make(team);
+  const auto result = qsv::benchreg::run_lock_loop(*lock, team, 0.1);
   EXPECT_TRUE(result.ok);
   EXPECT_GT(result.ops, 0u);
   EXPECT_GT(result.throughput_mops(), 0.0);
-  EXPECT_EQ(result.per_thread_ops.size(), 4u);
+  EXPECT_EQ(result.per_thread_ops.size(), team);
   std::uint64_t sum = 0;
   for (const std::uint64_t ops : result.per_thread_ops) sum += ops;
   EXPECT_EQ(sum, result.ops);
@@ -60,11 +62,12 @@ TEST(Catalogues, IncludeQsvEntries) {
 }
 
 TEST(Catalogues, EveryLockPassesRunnerIntegrity) {
+  const std::size_t team = qsv::test::capped_crew(4);
   for (const auto* entry : qsv::catalog::locks()) {
-    auto lock = entry->make(4);
+    auto lock = entry->make(team);
     // A short critical section and think time exercise both busy waits.
     const auto result = qsv::benchreg::run_lock_loop(
-        *lock, 4, 0.04, /*external_watchdog=*/false, /*cs_ns=*/50,
+        *lock, team, 0.04, /*external_watchdog=*/false, /*cs_ns=*/50,
         /*think_ns=*/50);
     EXPECT_TRUE(result.ok) << entry->name;
     EXPECT_GT(result.ops, 0u) << entry->name;

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "harness/team.hpp"
 #include "hier/cohort_map.hpp"
 #include "hier/hier_qsv.hpp"
@@ -19,22 +20,10 @@ namespace qh = qsv::hier;
 
 namespace {
 
-constexpr std::size_t kThreads = 8;
-constexpr std::size_t kOpsPerThread = 2000;
-
-template <typename Lock>
-void exclusion_battery(Lock& lock) {
-  qsv::workload::GuardedCounter counter;
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
-    for (std::size_t i = 0; i < kOpsPerThread; ++i) {
-      lock.lock();
-      counter.bump();
-      lock.unlock();
-    }
-  });
-  EXPECT_TRUE(counter.consistent());
-  EXPECT_EQ(counter.value(), kThreads * kOpsPerThread);
-}
+/// One thread per allowed CPU: the fused lock's waiters spin at the
+/// process-default policy (battery.hpp's rule).
+const std::size_t kThreads = qsv::test::dedicated_crew();
+const std::size_t kOpsPerThread = qsv::test::quota(16000, kThreads);
 
 }  // namespace
 
@@ -83,36 +72,21 @@ TEST(BlockCohortMap, MyCohortUsesDenseThreadIndex) {
 
 // ----------------------------------------------------------- exclusion
 
-TEST(HierQsvMutex, MutualExclusion) {
-  qh::HierQsvMutex lock;
-  exclusion_battery(lock);
-}
-
 TEST(HierQsvMutex, MutualExclusionSingleThreadCohorts) {
   qh::HierQsvMutex lock(/*threads_per_cohort=*/1, /*budget=*/16);
-  exclusion_battery(lock);
+  qsv::test::exclusion_battery(lock, kThreads, kOpsPerThread);
 }
 
 TEST(HierQsvMutex, MutualExclusionOneBigCohort) {
   qh::HierQsvMutex lock(/*threads_per_cohort=*/1024, /*budget=*/8);
-  exclusion_battery(lock);
+  qsv::test::exclusion_battery(lock, kThreads, kOpsPerThread);
 }
 
 TEST(HierQsvMutex, MutualExclusionZeroBudget) {
   // Budget 0: every release returns the global lock — the ablation
   // control that degenerates to flat QSV plus one hop.
   qh::HierQsvMutex lock(/*threads_per_cohort=*/4, /*budget=*/0);
-  exclusion_battery(lock);
-}
-
-TEST(HierQsvMutex, MutualExclusionParkWait) {
-  qh::HierQsvMutex lock(qsv::wait_policy::park);
-  exclusion_battery(lock);
-}
-
-TEST(HierQsvMutex, MutualExclusionYieldWait) {
-  qh::HierQsvMutex lock(qsv::wait_policy::spin_yield);
-  exclusion_battery(lock);
+  qsv::test::exclusion_battery(lock, kThreads, kOpsPerThread);
 }
 
 // ------------------------------------------------------------ reentry
@@ -163,7 +137,7 @@ TEST(HierQsvMutex, TryLockFailureLeavesLockUsable) {
   // Failed try_lock must have fully undone its enqueue.
   ASSERT_TRUE(lock.try_lock());
   lock.unlock();
-  exclusion_battery(lock);
+  qsv::test::exclusion_battery(lock, kThreads, kOpsPerThread);
 }
 
 TEST(HierQsvMutex, TryLockUnderContentionNeverBlocksForever) {
@@ -171,7 +145,7 @@ TEST(HierQsvMutex, TryLockUnderContentionNeverBlocksForever) {
   std::atomic<std::uint64_t> successes{0};
   std::atomic<std::uint64_t> failures{0};
   qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
-    for (int i = 0; i < 2000; ++i) {
+    for (std::size_t i = 0; i < kOpsPerThread; ++i) {
       if (lock.try_lock()) {
         successes.fetch_add(1, std::memory_order_relaxed);
         lock.unlock();
@@ -180,7 +154,7 @@ TEST(HierQsvMutex, TryLockUnderContentionNeverBlocksForever) {
       }
     }
   });
-  EXPECT_EQ(successes + failures, kThreads * 2000);
+  EXPECT_EQ(successes + failures, kThreads * kOpsPerThread);
   EXPECT_GT(successes.load(), 0u);
 }
 

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "battery.hpp"
 #include "core/syncvar.hpp"
 #include "catalog/catalog.hpp"
 #include "harness/team.hpp"
@@ -21,7 +22,10 @@ namespace qc = qsv::core;
 TEST(Integration, BankTransfersConserveTotal) {
   // The bank_ledger example's core: per-account QSV mutexes, random
   // transfers with ordered two-lock acquisition, total must be conserved.
-  constexpr std::size_t kAccounts = 16, kTeam = 8, kTransfers = 5000;
+  // One thread per allowed CPU: the mutexes spin at the process default.
+  constexpr std::size_t kAccounts = 16;
+  const std::size_t kTeam = qsv::test::dedicated_crew();
+  const std::size_t kTransfers = qsv::test::quota(40000, kTeam);
   std::vector<qc::QsvMutex<>> locks(kAccounts);
   std::vector<std::int64_t> balance(kAccounts, 1000);
 
@@ -51,12 +55,13 @@ TEST(Integration, JacobiPhasesMatchSerialUnderQsvBarrier) {
   // The jacobi_phases example's core: strip-parallel smoothing with a
   // QSV episode barrier must reproduce the serial result exactly.
   constexpr std::size_t kCells = 512, kPhases = 50, kTeam = 4;
+  const qsv::test::CrewPolicy policy(kTeam);
   auto in = qsv::workload::phase_input(kCells);
   const auto expected = qsv::workload::smooth_serial(in, kPhases);
 
   std::vector<std::int64_t> a = in, b(kCells);
   qc::QsvBarrier barrier(kTeam);
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
+  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
     const std::size_t lo = kCells * rank / kTeam;
     const std::size_t hi = kCells * (rank + 1) / kTeam;
     auto* src = &a;
@@ -76,6 +81,7 @@ TEST(Integration, JacobiPhasesMatchSerialUnderQsvBarrier) {
 TEST(Integration, PipelineThroughRingsConservesWork) {
   // Two-stage pipeline over BoundedRings driven by QSV semaphores.
   constexpr std::uint64_t kItems = 30000;
+  const qsv::test::CrewPolicy policy(3);
   qsv::workload::BoundedRing<std::uint64_t> stage1(32), stage2(32);
   std::atomic<std::uint64_t> sink_sum{0};
 
@@ -111,6 +117,7 @@ TEST(Integration, MixedPrimitivesUnderOneRoof) {
   // it under a QSV mutex-protected episode count; a barrier closes each
   // round. Checks the primitives do not interfere through shared arenas.
   constexpr std::size_t kTeam = 6, kRounds = 300;
+  const qsv::test::CrewPolicy policy(kTeam);
   qc::QsvRwLock<> rw;
   qc::QsvMutex<> mu;
   qc::QsvBarrier barrier(kTeam);
@@ -118,7 +125,7 @@ TEST(Integration, MixedPrimitivesUnderOneRoof) {
   std::uint64_t episodes = 0;  // guarded by mu
   std::atomic<std::uint64_t> torn{0};
 
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
+  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
     for (std::size_t r = 0; r < kRounds; ++r) {
       if (rank % 2 == 0) {
         rw.lock();

@@ -7,29 +7,19 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "core/syncvar.hpp"
 #include "harness/team.hpp"
 #include "parking/parking_lot.hpp"
+#include "platform/affinity.hpp"
 #include "workload/critical_section.hpp"
 
 namespace qp = qsv::parking;
 
 namespace {
-constexpr std::size_t kThreads = 8;
-
-template <typename Lock>
-void exclusion_battery(Lock& lock, std::size_t ops = 3000) {
-  qsv::workload::GuardedCounter counter;
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
-    for (std::size_t i = 0; i < ops; ++i) {
-      lock.lock();
-      counter.bump();
-      lock.unlock();
-    }
-  });
-  EXPECT_TRUE(counter.consistent());
-  EXPECT_EQ(counter.value(), kThreads * ops);
-}
+/// LotParkWait parks its waiters, so its crews may outnumber the CPUs
+/// (battery.hpp's rule).
+const std::size_t kThreads = qsv::test::oversubscribed_crew();
 }  // namespace
 
 // ----------------------------------------------------------- lot basics
@@ -164,11 +154,6 @@ TEST(ParkingLot, RapidParkReparkCycles) {
 
 // ---------------------------------------------------------- futex mutex
 
-TEST(FutexMutex, MutualExclusion) {
-  qp::FutexMutex m;
-  exclusion_battery(m);
-}
-
 TEST(FutexMutex, TryLockSemantics) {
   qp::FutexMutex m;
   ASSERT_TRUE(m.try_lock());
@@ -193,18 +178,15 @@ TEST(FutexMutex, OversubscribedStillCorrect) {
   // More threads than cores is exactly the regime parking exists for.
   qp::FutexMutex m;
   qsv::workload::GuardedCounter counter;
-  const std::size_t threads = 2 * std::thread::hardware_concurrency();
+  const std::size_t threads = qsv::test::oversubscribed_crew();
   constexpr std::size_t kOps = 500;
-  qsv::harness::ThreadTeam::run(
-      threads,
-      [&](std::size_t) {
-        for (std::size_t i = 0; i < kOps; ++i) {
-          m.lock();
-          counter.bump();
-          m.unlock();
-        }
-      },
-      /*pin=*/false);
+  qsv::test::run_crew(threads, [&](std::size_t) {
+    for (std::size_t i = 0; i < kOps; ++i) {
+      m.lock();
+      counter.bump();
+      m.unlock();
+    }
+  });
   EXPECT_TRUE(counter.consistent());
   EXPECT_EQ(counter.value(), threads * kOps);
 }
@@ -213,7 +195,8 @@ TEST(FutexMutex, OversubscribedStillCorrect) {
 
 TEST(LotParkWait, QsvMutexRunsUnmodifiedOverHandBuiltFutex) {
   qsv::core::QsvMutex<qp::LotParkWait> m;
-  exclusion_battery(m);
+  qsv::test::exclusion_battery(m, kThreads,
+                               qsv::test::quota(24000, kThreads));
 }
 
 TEST(LotParkWait, QsvSemaphoreStyleHandoffChain) {
@@ -221,7 +204,7 @@ TEST(LotParkWait, QsvSemaphoreStyleHandoffChain) {
   // its predecessor — exercises notify_one delivery through the table.
   qsv::core::QsvMutex<qp::LotParkWait> m;
   std::vector<int> order;
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
+  qsv::test::run_crew(kThreads, [&](std::size_t rank) {
     for (int i = 0; i < 200; ++i) {
       m.lock();
       if (order.size() < kThreads) {

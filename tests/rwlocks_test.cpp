@@ -5,45 +5,19 @@
 #include <chrono>
 #include <thread>
 
+#include "battery.hpp"
 #include "harness/team.hpp"
 #include "catalog/catalog.hpp"
 #include "catalog/std_adapters.hpp"
 #include "rwlocks/central_rw.hpp"
-#include "workload/rw_mix.hpp"
 
 namespace qr = qsv::rwlocks;
 
 namespace {
 
-/// The invariant battery: writers advance versioned cells, readers check
-/// snapshot consistency. Any writer/writer or reader/writer overlap tears
-/// the snapshot.
-template <typename Lock>
-void rw_battery(Lock& lock, double read_ratio) {
-  constexpr std::size_t kTeam = 8;
-  constexpr std::size_t kOps = 3000;
-  qsv::workload::VersionedCells cells;
-  std::atomic<std::uint64_t> torn{0};
-  std::atomic<std::uint64_t> writes{0};
-
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
-    qsv::workload::RwMix mix(read_ratio, 1000 + rank);
-    for (std::size_t i = 0; i < kOps; ++i) {
-      if (mix.next_is_read()) {
-        lock.lock_shared();
-        if (!cells.read_consistent()) torn.fetch_add(1);
-        lock.unlock_shared();
-      } else {
-        lock.lock();
-        cells.write();
-        writes.fetch_add(1, std::memory_order_relaxed);
-        lock.unlock();
-      }
-    }
-  });
-  EXPECT_EQ(torn.load(), 0u) << Lock::name();
-  EXPECT_EQ(cells.version(), writes.load()) << Lock::name();
-}
+/// The centralized locks spin whatever the policy: one thread per CPU.
+const std::size_t kThreads = qsv::test::dedicated_crew();
+const std::size_t kOps = qsv::test::quota(24000, kThreads);
 
 }  // namespace
 
@@ -56,17 +30,17 @@ TYPED_TEST_SUITE(RwLockTest, RwTypes);
 
 TYPED_TEST(RwLockTest, MostlyReads) {
   TypeParam lock;
-  rw_battery(lock, 0.95);
+  qsv::test::rw_battery(lock, kThreads, kOps, 0.95);
 }
 
 TYPED_TEST(RwLockTest, Balanced) {
   TypeParam lock;
-  rw_battery(lock, 0.5);
+  qsv::test::rw_battery(lock, kThreads, kOps, 0.5);
 }
 
 TYPED_TEST(RwLockTest, MostlyWrites) {
   TypeParam lock;
-  rw_battery(lock, 0.05);
+  qsv::test::rw_battery(lock, kThreads, kOps, 0.05);
 }
 
 TYPED_TEST(RwLockTest, ReadersOverlap) {
@@ -160,23 +134,8 @@ TEST(Catalog, RwViewListsBaselinesAndSmokes) {
   const auto rwlocks = qsv::catalog::rwlocks();
   EXPECT_GE(rwlocks.size(), 5u);
   for (const auto* entry : rwlocks) {
+    SCOPED_TRACE(entry->name);
     auto lock = entry->make(4);
-    qsv::workload::VersionedCells cells;
-    std::atomic<std::uint64_t> torn{0};
-    qsv::harness::ThreadTeam::run(4, [&](std::size_t rank) {
-      qsv::workload::RwMix mix(0.7, rank);
-      for (int i = 0; i < 1000; ++i) {
-        if (mix.next_is_read()) {
-          lock->lock_shared();
-          if (!cells.read_consistent()) torn.fetch_add(1);
-          lock->unlock_shared();
-        } else {
-          lock->lock();
-          cells.write();
-          lock->unlock();
-        }
-      }
-    });
-    EXPECT_EQ(torn.load(), 0u) << entry->name;
+    qsv::test::rw_battery(*lock, qsv::test::capped_crew(4), 1000, 0.7);
   }
 }

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "harness/team.hpp"
 #include "qsv/qsv.hpp"
 
@@ -35,11 +36,12 @@ TEST(StdInterop, ScopedLockOverTwoQsvMutexes) {
   // the avoidance path this deadlocks in milliseconds.
   // Kept deliberately small: on a 1-CPU host every contended handoff
   // of a pure-spin mutex costs a scheduler quantum.
+  const qsv::test::CrewPolicy policy(2);
   qsv::mutex a, b;
   long balance_a = 1000, balance_b = 1000;  // guarded by {a, b}
   constexpr int kTransfers = 2000;
 
-  qsv::harness::ThreadTeam::run(2, [&](std::size_t rank) {
+  qsv::test::run_crew(2, [&](std::size_t rank) {
     for (int i = 0; i < kTransfers; ++i) {
       if (rank % 2 == 0) {
         std::scoped_lock guard(a, b);
@@ -57,9 +59,10 @@ TEST(StdInterop, ScopedLockOverTwoQsvMutexes) {
 }
 
 TEST(StdInterop, LockGuardAndUniqueLockOverQsvMutex) {
+  const qsv::test::CrewPolicy policy(4);
   qsv::mutex mu;
   long counter = 0;
-  qsv::harness::ThreadTeam::run(4, [&](std::size_t) {
+  qsv::test::run_crew(4, [&](std::size_t) {
     for (int i = 0; i < 10000; ++i) {
       if (i % 2 == 0) {
         std::lock_guard<qsv::mutex> guard(mu);
@@ -76,11 +79,12 @@ TEST(StdInterop, LockGuardAndUniqueLockOverQsvMutex) {
 // ------------------------------------- std::shared_lock / std::unique_lock
 
 TEST(StdInterop, SharedAndUniqueLockOverQsvSharedMutex) {
+  const qsv::test::CrewPolicy policy(4);
   qsv::shared_mutex rw;
   std::vector<int> pair{0, 0};
   std::atomic<long> reads{0};
 
-  qsv::harness::ThreadTeam::run(4, [&](std::size_t rank) {
+  qsv::test::run_crew(4, [&](std::size_t rank) {
     if (rank == 0) {
       for (int i = 0; i < 2000; ++i) {
         std::unique_lock guard(rw);
@@ -145,6 +149,7 @@ TEST(StdInterop, TryFormsOverCentralSharedMutex) {
 TEST(StdInterop, ConditionVariableAnyOverQsvMutex) {
   // A tiny bounded handoff queue driven entirely by the std CV protocol
   // over a QSV mutex (condition_variable_any accepts any BasicLockable).
+  const qsv::test::CrewPolicy policy(2);
   qsv::mutex mu;
   std::condition_variable_any cv;
   std::vector<int> queue;  // guarded by mu
@@ -231,11 +236,12 @@ TEST(StdInterop, BarrierArriveAndDropShrinksTeam) {
   // Half the team leaves after phase 1 (std::barrier::arrive_and_drop
   // semantics); the rest must keep synchronizing without stranding.
   constexpr std::size_t kTeam = 4, kPhases = 200;
+  const qsv::test::CrewPolicy policy(kTeam);
   qsv::barrier bar(kTeam);
   std::atomic<long> sum{0};
   std::atomic<bool> ragged{false};
 
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
+  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
     sum.fetch_add(1);
     bar.arrive_and_wait(rank);
     if (sum.load() != kTeam) ragged.store(true);
@@ -260,8 +266,9 @@ TEST(StdInterop, BarrierDropToZeroAndCloserIsDropper) {
   // The last arrival may itself be a dropper: it must close the episode
   // (waking everyone) even though it enqueued no node.
   constexpr std::size_t kTeam = 3;
+  const qsv::test::CrewPolicy policy(kTeam);
   qsv::barrier bar(kTeam);
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
+  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
     if (rank == 0) {
       bar.arrive_and_drop(rank);  // may or may not be the closer
     } else {

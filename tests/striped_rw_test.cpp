@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "core/qsv_rwlock.hpp"
 #include "core/qsv_rwlock_central.hpp"
 #include "harness/team.hpp"
@@ -15,7 +16,6 @@
 #include "platform/striped_counter.hpp"
 #include "platform/timing.hpp"
 #include "qsv/concepts.hpp"
-#include "workload/rw_mix.hpp"
 
 namespace qc = qsv::core;
 namespace qp = qsv::platform;
@@ -79,49 +79,14 @@ TEST(StripedRwLock, SatisfiesSharedLockableConcept) {
 // reader entry takes the slow path.
 TEST(StripedRwLock, ParkingHandshakeStress) {
   qc::QsvRwLock<> lock;
-  qsv::workload::VersionedCells cells;
-  std::atomic<std::uint64_t> torn{0};
-  std::atomic<std::uint64_t> writes{0};
-  qsv::harness::ThreadTeam::run(8, [&](std::size_t rank) {
-    qsv::workload::RwMix mix(0.5, 13 * rank + 1);
-    for (int i = 0; i < 2000; ++i) {
-      if (mix.next_is_read()) {
-        lock.lock_shared();
-        if (!cells.read_consistent()) torn.fetch_add(1);
-        lock.unlock_shared();
-      } else {
-        lock.lock();
-        cells.write();
-        writes.fetch_add(1, std::memory_order_relaxed);
-        lock.unlock();
-      }
-    }
-  });
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(cells.version(), writes.load());
+  qsv::test::rw_battery(lock, qsv::test::dedicated_crew(), 2000, 0.5);
 }
 
 // Same battery through the futex-parking wait policy: the claim/grant
 // two-step must wake sleepers at both transitions.
 TEST(StripedRwLock, ParkingHandshakeStressParkWait) {
   qc::QsvRwLock<> lock(qsv::wait_policy::park);
-  qsv::workload::VersionedCells cells;
-  std::atomic<std::uint64_t> torn{0};
-  qsv::harness::ThreadTeam::run(6, [&](std::size_t rank) {
-    qsv::workload::RwMix mix(0.7, 7 * rank + 5);
-    for (int i = 0; i < 1500; ++i) {
-      if (mix.next_is_read()) {
-        lock.lock_shared();
-        if (!cells.read_consistent()) torn.fetch_add(1);
-        lock.unlock_shared();
-      } else {
-        lock.lock();
-        cells.write();
-        lock.unlock();
-      }
-    }
-  });
-  EXPECT_EQ(torn.load(), 0u);
+  qsv::test::rw_battery(lock, 6, 1500, 0.7);
 }
 
 // Readers on distinct stripes must overlap freely with no writer around.
@@ -147,6 +112,7 @@ TEST(StripedRwLock, ConcurrentReadersAllAdmitted) {
 // Phase-fairness regression, writer side: a continuous stream of readers
 // must not starve a writer.
 TEST(StripedRwLock, PhaseFairNoWriterStarvation) {
+  const qsv::test::CrewPolicy policy(5);  // four readers and the writer
   qc::QsvRwLock<> lock;
   std::atomic<bool> stop{false};
   std::atomic<bool> writer_done{false};
@@ -178,6 +144,7 @@ TEST(StripedRwLock, PhaseFairNoWriterStarvation) {
 // Phase-fairness regression, reader side: a continuous stream of writers
 // must not starve a parked reader — it is admitted at a phase boundary.
 TEST(StripedRwLock, PhaseFairNoReaderStarvation) {
+  const qsv::test::CrewPolicy policy(4);  // three writers and the reader
   qc::QsvRwLock<> lock;
   std::atomic<bool> stop{false};
   std::atomic<bool> reader_done{false};
@@ -211,23 +178,7 @@ TEST(StripedRwLock, PhaseFairNoReaderStarvation) {
 TEST(StripedRwLock, CorrectAcrossStripeCounts) {
   {
     qc::QsvRwLock<2> narrow(qsv::wait_policy::spin);
-    qsv::workload::VersionedCells cells;
-    std::atomic<std::uint64_t> torn{0};
-    qsv::harness::ThreadTeam::run(6, [&](std::size_t rank) {
-      qsv::workload::RwMix mix(0.8, rank + 1);
-      for (int i = 0; i < 1000; ++i) {
-        if (mix.next_is_read()) {
-          narrow.lock_shared();
-          if (!cells.read_consistent()) torn.fetch_add(1);
-          narrow.unlock_shared();
-        } else {
-          narrow.lock();
-          cells.write();
-          narrow.unlock();
-        }
-      }
-    });
-    EXPECT_EQ(torn.load(), 0u);
+    qsv::test::rw_battery(narrow, qsv::test::dedicated_crew(), 1000, 0.8);
   }
   {
     qc::QsvRwLock<64> wide(qsv::wait_policy::spin);
@@ -243,26 +194,7 @@ TEST(StripedRwLock, CorrectAcrossStripeCounts) {
 
 TEST(CentralRwLock, ExclusionBattery) {
   qc::QsvRwLockCentral lock;
-  qsv::workload::VersionedCells cells;
-  std::atomic<std::uint64_t> torn{0};
-  std::atomic<std::uint64_t> writes{0};
-  qsv::harness::ThreadTeam::run(6, [&](std::size_t rank) {
-    qsv::workload::RwMix mix(0.5, 3 * rank + 11);
-    for (int i = 0; i < 1500; ++i) {
-      if (mix.next_is_read()) {
-        lock.lock_shared();
-        if (!cells.read_consistent()) torn.fetch_add(1);
-        lock.unlock_shared();
-      } else {
-        lock.lock();
-        cells.write();
-        writes.fetch_add(1, std::memory_order_relaxed);
-        lock.unlock();
-      }
-    }
-  });
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(cells.version(), writes.load());
+  qsv::test::rw_battery(lock, qsv::test::dedicated_crew(), 1500, 0.5);
 }
 
 TEST(CentralRwLock, UncontendedPaths) {

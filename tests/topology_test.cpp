@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "catalog/catalog.hpp"
 #include "core/qsv_mutex.hpp"
 #include "harness/team.hpp"
@@ -248,22 +249,11 @@ TEST(TopologyCohortMapDeathTest, NodeWithoutCpusAborts) {
 
 namespace {
 
-constexpr std::size_t kThreads = 8;
-constexpr std::size_t kOps = 1000;
-
-/// Mutual exclusion across a type-erased cohort lock.
-void exclusion_battery(qsv::catalog::AnyPrimitive& lock) {
-  qsv::workload::GuardedCounter counter;
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
-    for (std::size_t i = 0; i < kOps; ++i) {
-      lock.lock();
-      counter.bump();
-      lock.unlock();
-    }
-  });
-  EXPECT_TRUE(counter.consistent());
-  EXPECT_EQ(counter.value(), kThreads * kOps);
-}
+/// One thread per allowed CPU: the compositions run at the process-
+/// default policy and the ticket tiers spin whatever the policy
+/// (battery.hpp's rule).
+const std::size_t kThreads = qsv::test::dedicated_crew();
+const std::size_t kOps = qsv::test::quota(8000, kThreads);
 
 }  // namespace
 
@@ -294,7 +284,7 @@ TEST(CohortCatalogue, EveryCompositionExcludesAcrossBudgets) {
       SCOPED_TRACE(e->name + " budget " + std::to_string(budget));
       auto lock = e->make_budgeted(kThreads, qsv::get_default_wait_policy(),
                                    budget);
-      exclusion_battery(*lock);
+      qsv::test::exclusion_battery(*lock, kThreads, kOps);
     }
   }
 }

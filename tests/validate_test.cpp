@@ -1,7 +1,7 @@
 // validate_test.cpp — the checkers themselves, then the registry-wide
-// property sweep: every lock × every shake intensity must preserve
-// mutual exclusion; queue locks must admit near-FIFO; reader-writer
-// locks must preserve the RW invariant under perturbation.
+// property sweeps: the exclusion battery over every lock row; queue
+// locks must admit near-FIFO; reader-writer locks must preserve the RW
+// invariant under perturbation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +9,7 @@
 #include <tuple>
 #include <vector>
 
-#include <algorithm>
+#include "battery.hpp"
 #include "catalog/catalog.hpp"
 #include "harness/team.hpp"
 #include "platform/affinity.hpp"
@@ -19,16 +19,11 @@
 namespace qv = qsv::validate;
 
 namespace {
-/// Sweep team size, scaled to the host. The property sweeps exercise
-/// interleavings, and on a P-CPU box anything past ~2P spinners adds
-/// no concurrency — it only multiplies scheduler rotations, which for
-/// the raw-spin strawmen (tas/ticket/...; deliberately NOT wired to
-/// the runtime waiting layer) cost a full quantum per handoff. 8
-/// threads on 1 CPU is what used to blow the 600 s ctest timeout; the
-/// policy-aware primitives additionally run under spin_yield there
-/// (ctest pins QSV_WAIT=spin_yield on this suite).
-const std::size_t kThreads = std::clamp<std::size_t>(
-    2 * qsv::platform::available_cpus(), 2, 8);
+/// Sweep team size: one thread per allowed CPU (battery.hpp's rule).
+/// The sweeps run at the process-default policy, pure spin unless
+/// QSV_WAIT says otherwise, and the raw-spin strawmen (tas, ticket, ...)
+/// spin whatever the policy, so the crew never outnumbers the CPUs.
+const std::size_t kThreads = qsv::test::dedicated_crew();
 
 qv::ShakeProfile profile_by_name(const std::string& name) {
   if (name == "off") return qv::ShakeProfile::off();
@@ -120,44 +115,70 @@ TEST(ScheduleShaker, DeterministicPerSeed) {
             500);
 }
 
-// ------------------------------------- registry-wide exclusion sweep
+// ------------------------------------------ the exclusion battery
 
-class LockShakeSweep
-    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
-};
+// Every catalogue lock row runs the exclusion battery (battery.hpp) in
+// up to six legs:
+//   * dedicated: one thread per allowed CPU, built by make() at the
+//     process default — pure spin in a plain run, park/adaptive under
+//     CI's parked loop, spin_yield under the sanitizers;
+//   * gentle/rough/brutal: the same crew under the shake profiles;
+//   * spin_yield/park: an oversubscribed crew (2 x CPUs, at least 4),
+//     built by make_with() under that policy, for the rows whose wait
+//     modes include it.
+// The dedicated and oversubscribed legs perform kBatteryOps
+// acquisitions whatever the crew.
 
-TEST_P(LockShakeSweep, MutualExclusionHolds) {
-  const auto& [lock_name, shake_name] = GetParam();
-  const auto* entry = qsv::catalog::find(lock_name);
+namespace {
+
+constexpr std::size_t kBatteryOps = 40000;
+constexpr std::size_t kShakeOps = 12000;
+constexpr std::size_t kBrutalOps = 2400;
+
+using Leg = std::tuple<std::string, std::string>;  // row, leg
+
+class ExclusionBattery : public ::testing::TestWithParam<Leg> {};
+
+}  // namespace
+
+TEST_P(ExclusionBattery, Holds) {
+  const auto& [row, leg] = GetParam();
+  const auto* entry = qsv::catalog::find(row);
   ASSERT_NE(entry, nullptr);
-  auto lock = entry->make(qsv::platform::kMaxThreads);
-  const auto profile = profile_by_name(shake_name);
-
-  qv::ExclusionChecker checker;
-  const std::size_t ops = shake_name == "brutal" ? 300 : 1500;
-  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
-    qv::ScheduleShaker shaker(profile, /*seed=*/0xC0FFEE, rank);
-    for (std::size_t i = 0; i < ops; ++i) {
-      shaker.maybe_perturb();
-      lock->lock();
-      checker.enter();
-      shaker.maybe_perturb();  // perturb *inside* the critical section
-      checker.exit();
-      lock->unlock();
+  std::unique_ptr<qsv::catalog::AnyPrimitive> lock;
+  std::size_t threads = kThreads;
+  std::size_t total = kBatteryOps;
+  qv::ShakeProfile shake = qv::ShakeProfile::off();
+  if (leg == "spin_yield" || leg == "park") {
+    threads = qsv::test::oversubscribed_crew();
+    lock = entry->make_with(qsv::platform::kMaxThreads,
+                            leg == "park" ? qsv::wait_policy::park
+                                          : qsv::wait_policy::spin_yield);
+  } else {
+    lock = entry->make(qsv::platform::kMaxThreads);
+    if (leg != "dedicated") {
+      shake = profile_by_name(leg);
+      total = leg == "brutal" ? kBrutalOps : kShakeOps;
     }
-  });
-  EXPECT_TRUE(checker.clean())
-      << lock_name << " under " << shake_name << ": "
-      << checker.violations() << " violations";
-  EXPECT_EQ(checker.entries(), kThreads * ops);
+  }
+  ASSERT_NE(lock, nullptr);
+  EXPECT_GT(lock->footprint(), 0u);
+  qsv::test::exclusion_battery(*lock, threads,
+                               qsv::test::quota(total, threads), shake);
 }
 
 namespace {
-std::vector<std::tuple<std::string, std::string>> sweep_params() {
-  std::vector<std::tuple<std::string, std::string>> out;
-  for (const auto* f : qsv::catalog::locks()) {
-    for (const char* shake : {"off", "gentle", "rough", "brutal"}) {
-      out.emplace_back(f->name, shake);
+std::vector<Leg> battery_legs() {
+  std::vector<Leg> out;
+  for (const auto* e : qsv::catalog::locks()) {
+    for (const char* leg : {"dedicated", "gentle", "rough", "brutal"}) {
+      out.emplace_back(e->name, leg);
+    }
+    for (const qsv::wait_policy p :
+         {qsv::wait_policy::spin_yield, qsv::wait_policy::park}) {
+      if (e->has_wait_mode(p)) {
+        out.emplace_back(e->name, qsv::wait_policy_name(p));
+      }
     }
   }
   return out;
@@ -165,7 +186,7 @@ std::vector<std::tuple<std::string, std::string>> sweep_params() {
 }  // namespace
 
 INSTANTIATE_TEST_SUITE_P(
-    AllLocksAllShakes, LockShakeSweep, ::testing::ValuesIn(sweep_params()),
+    AllLocks, ExclusionBattery, ::testing::ValuesIn(battery_legs()),
     [](const auto& info) {
       std::string n =
           std::get<0>(info.param) + "_" + std::get<1>(info.param);
@@ -286,12 +307,13 @@ using EcKinds = ::testing::Types<qsv::eventcount::EventCount,
 TYPED_TEST_SUITE(EcShake, EcKinds);
 
 TYPED_TEST(EcShake, RingConservationUnderRoughShake) {
-  qsv::eventcount::EcBoundedRing<std::uint32_t, TypeParam> ring(8);
   constexpr std::size_t kProducers = 3;
   constexpr std::size_t kConsumers = 3;
   constexpr std::uint64_t kPer = 3000;
+  const qsv::test::CrewPolicy policy(kProducers + kConsumers);
+  qsv::eventcount::EcBoundedRing<std::uint32_t, TypeParam> ring(8);
   std::atomic<std::uint64_t> sum{0};
-  qsv::harness::ThreadTeam::run(
+  qsv::test::run_crew(
       kProducers + kConsumers, [&](std::size_t r) {
         qv::ScheduleShaker shaker(qv::ShakeProfile::rough(), 0xD1CE, r);
         if (r < kProducers) {

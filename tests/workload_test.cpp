@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "battery.hpp"
 #include "harness/team.hpp"
 #include "platform/affinity.hpp"
 #include "platform/timing.hpp"
@@ -134,6 +135,7 @@ TEST(BoundedRing, BlocksWhenFull) {
 }
 
 TEST(BoundedRing, SpscTransfersEverythingInOrder) {
+  const qsv::test::CrewPolicy policy(2);
   qw::BoundedRing<std::uint64_t> ring(16);
   constexpr std::uint64_t kItems = 100000;
   std::thread producer([&] {
@@ -147,8 +149,9 @@ TEST(BoundedRing, SpscTransfersEverythingInOrder) {
 }
 
 TEST(BoundedRing, MpmcConservesItems) {
-  qw::BoundedRing<std::uint64_t> ring(8);
   constexpr std::size_t kProducers = 3, kConsumers = 3;
+  const qsv::test::CrewPolicy policy(kProducers + kConsumers);
+  qw::BoundedRing<std::uint64_t> ring(8);
   constexpr std::uint64_t kPerProducer = 20000;
   std::atomic<std::uint64_t> sum_in{0}, sum_out{0};
   std::vector<std::thread> threads;
