@@ -97,6 +97,10 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
               "tallies included) plus owned heap after one uncontended "
               "cycle; cold_block_bytes: added by the first contended "
               "acquisition");
+  report.note("qsv, qsv-timeout, mcs: one 128-byte pair of lines — the "
+              "lock word, its tallies and the record's registry links on "
+              "the first, the wait policy and what a handoff reads of the "
+              "record on the second");
   return report;
 }
 

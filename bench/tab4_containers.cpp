@@ -118,8 +118,7 @@ MixRow run_mix(std::size_t threads, double seconds, std::uint64_t keys,
         popped.fetch_add(my_popped);
         std::lock_guard<std::mutex> g(lat_mu);
         latencies.insert(latencies.end(), lat.begin(), lat.end());
-      },
-      /*pin=*/threads <= qsv::platform::available_cpus());
+      });
 
   const std::uint64_t dt_ns = clock.elapsed_ns();
   watchdog.join();

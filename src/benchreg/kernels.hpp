@@ -17,7 +17,6 @@
 
 #include "benchreg/stats.hpp"
 #include "harness/team.hpp"
-#include "platform/affinity.hpp"
 #include "platform/arch.hpp"
 #include "workload/critical_section.hpp"
 #include "workload/rw_mix.hpp"
@@ -90,8 +89,7 @@ struct LockLoopResult {
 /// acquisitions (both zero: empty sections). `external_watchdog` moves
 /// timer duty off the team onto a helper thread — required when the
 /// team is oversubscribed and no member can be trusted to make progress
-/// (abl1/abl4); pinning is likewise skipped once threads exceed the
-/// CPUs.
+/// (abl1/abl4); ThreadTeam leaves such a team unpinned.
 template <typename Lock>
 LockLoopResult run_lock_loop(Lock& lock, std::size_t threads, double seconds,
                              bool external_watchdog = false,
@@ -123,8 +121,7 @@ LockLoopResult run_lock_loop(Lock& lock, std::size_t threads, double seconds,
           if (!external_watchdog) clock.poll(rank, ops);
         }
         out.per_thread_ops[rank] = ops;
-      },
-      /*pin=*/threads <= qsv::platform::available_cpus());
+      });
   out.dt_ns = clock.elapsed_ns();
   if (watchdog.joinable()) watchdog.join();
   for (const std::uint64_t ops : out.per_thread_ops) out.ops += ops;

@@ -165,22 +165,26 @@ class QsvMutex {
     rec_.count_contended_acquire(t0);
   }
 
-  // Read-mostly line: written at construction (and once more when the
-  // first contended acquisition installs the cold block).
-
-  /// How this instance's blocked threads wait (and are woken).
-  [[no_unique_address]] Wait waiter_;
-
-  /// Per-instance telemetry registration (obs/hook.hpp); empty and
-  /// folded away under -DQSV_OBS=0.
-  [[no_unique_address]] qsv::obs::LockRec rec_;
+  // One 128-byte pair of lines. The first holds the lock word, its
+  // tallies and rec_'s registry-only fields: the uncontended cycle
+  // touches this line alone. The second holds rec_'s kind_ and cold_
+  // and waiter_: everything a handoff reads, written only at
+  // construction (then once when the first contended acquisition
+  // installs the cold block, and by adaptive's wake-latency estimate).
+  // qsvlint's layout audit pins both lines.
 
   /// The synchronization variable itself: queue tail, null when free.
   alignas(qsv::platform::kFalseSharingRange)
       std::atomic<Node*> var_{nullptr};
-  /// Holder-owned tallies on var_'s 64-byte line (qsvlint's layout
-  /// audit pins them there).
+  /// Holder-owned tallies on var_'s 64-byte line.
   [[no_unique_address]] qsv::obs::Tally tally_;
+
+  /// Per-instance telemetry registration (obs/hook.hpp), straddling the
+  /// two lines; empty and folded away under -DQSV_OBS=0.
+  [[no_unique_address]] qsv::obs::LockRec rec_;
+
+  /// How this instance's blocked threads wait (and are woken).
+  [[no_unique_address]] Wait waiter_;
 };
 
 }  // namespace qsv::core

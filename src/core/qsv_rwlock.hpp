@@ -257,11 +257,13 @@ class QsvRwLock {
       // synchronized with every push; the links are visible.
       Node* next = chain->next.load(std::memory_order_relaxed);
       std::uint32_t expected = kWaiting;
-      // relaxed: failure order — a lost claim means the owner withdrew;
-      // the corpse is recycled without reading through it.
+      // acquire on failure: a lost claim means the owner withdrew, and
+      // we recycle the node. Synchronizing with the withdraw CAS orders
+      // the owner's last touch of the node before its next owner's
+      // writes.
       if (chain->state.compare_exchange_strong(expected, kClaimed,
                                                std::memory_order_seq_cst,
-                                               std::memory_order_relaxed)) {
+                                               std::memory_order_acquire)) {
         // Park policies sleep on kWaiting; wake the owner so it advances
         // to waiting on kClaimed (no-op for spin policies).
         waiter_.notify_all(chain->state);

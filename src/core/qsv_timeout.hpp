@@ -128,6 +128,8 @@ class QsvTimeoutMutex {
   const qsv::obs::LockRec* telemetry() const noexcept { return rec_.get(); }
 
  private:
+  friend struct qsv::platform::LayoutAuditAccess;
+
   static constexpr std::uint32_t kWaiting = 0;
   static constexpr std::uint32_t kReleased = 1;
   static constexpr std::uint32_t kAbandoned = 2;
@@ -221,15 +223,19 @@ class QsvTimeoutMutex {
   /// Clock reads are ~20ns; amortize them over this many polls.
   static constexpr std::uint32_t kPollsPerClock = 64;
 
-  /// How this instance's blocked threads wait (and are woken).
-  qsv::platform::RuntimeWait waiter_;
-
-  /// Per-instance telemetry registration (obs/hook.hpp).
-  [[no_unique_address]] qsv::obs::LockRec rec_;
+  // QsvMutex's pair of lines: the lock word, its tallies and rec_'s
+  // registry-only fields on the first; rec_'s kind_ and cold_ and
+  // waiter_ on the second (qsvlint's layout audit pins both).
 
   alignas(qsv::platform::kFalseSharingRange) std::atomic<Node*> var_;
   /// Holder-owned tallies on var_'s line.
   [[no_unique_address]] qsv::obs::Tally tally_;
+
+  /// Per-instance telemetry registration (obs/hook.hpp).
+  [[no_unique_address]] qsv::obs::LockRec rec_;
+
+  /// How this instance's blocked threads wait (and are woken).
+  qsv::platform::RuntimeWait waiter_;
 };
 
 }  // namespace qsv::core

@@ -122,11 +122,13 @@ class QueuedEventCount {
     now = count_.load(std::memory_order_acquire);
     if (now >= target) {
       std::uint32_t expected = kWaiting;
-      // relaxed: failure order — a lost withdraw means we were granted;
-      // the grant CAS's acq_rel already ordered everything we read.
+      // acquire on failure too: a lost withdraw means a walker granted
+      // the node, and we go on to recycle it. The failed CAS must
+      // synchronize with that grant CAS so that the walker's read of
+      // `target` happens before the node's next await() rewrites it.
       if (n->state.compare_exchange_strong(expected, kAbandoned,
                                            std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
+                                           std::memory_order_acquire)) {
         // Withdrawn: the node stays in the stack and the next advance
         // drops it (and owns returning it to the arena).
         return now;
@@ -185,11 +187,13 @@ class QueuedEventCount {
       Node* next = list->next.load(std::memory_order_relaxed);
       if (list->target <= now) {
         std::uint32_t expected = kWaiting;
-        // relaxed: failure order — failure means the waiter abandoned;
-        // the corpse is recycled without reading through it.
+        // acquire on failure too: failure means the waiter abandoned
+        // the node, and we recycle it. Synchronizing with the abandon
+        // CAS orders the waiter's last touch of the node before its
+        // next owner's writes.
         if (list->state.compare_exchange_strong(expected, kGranted,
                                                 std::memory_order_acq_rel,
-                                                std::memory_order_relaxed)) {
+                                                std::memory_order_acquire)) {
           // Waiter owns the node from here on; only the wake remains.
           // (A notify on a node the waiter has already recycled is
           // benign: arena nodes are never unmapped and every wait loop

@@ -1,9 +1,9 @@
-// team.hpp — pinned thread teams with aligned start.
+// team.hpp — thread teams with aligned start.
 //
 // Every figure in the evaluation runs a fixed team of threads through the
-// same loop. ThreadTeam pins member i to processor i, lines all members
-// up on a start barrier so measurement begins simultaneously, and joins
-// with exception propagation.
+// same loop. ThreadTeam pins member i to processor i when the team fits
+// the host, lines all members up on a start barrier so measurement
+// begins simultaneously, and joins with exception propagation.
 #pragma once
 
 #include <atomic>
@@ -21,11 +21,15 @@ namespace qsv::harness {
 
 class ThreadTeam {
  public:
-  /// Runs `body(rank)` on `n` threads, pinned round-robin, all released
-  /// together after every member is pinned and warmed. Blocks until all
-  /// bodies return; rethrows the first member exception, if any.
-  static void run(std::size_t n, const std::function<void(std::size_t)>& body,
-                  bool pin = true) {
+  /// Runs `body(rank)` on `n` threads, all released together after
+  /// every member is placed and warmed. A team that fits
+  /// platform::available_cpus() gets a CPU per member; a larger one is
+  /// left to the scheduler, which can move a waiter off a busy CPU
+  /// instead of stacking two threads on one. Blocks until all bodies
+  /// return; rethrows the first member exception, if any.
+  static void run(std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+    const bool pin = n <= qsv::platform::available_cpus();
     std::barrier<> start(static_cast<std::ptrdiff_t>(n));
     std::vector<std::thread> members;
     members.reserve(n);

@@ -131,14 +131,17 @@ class McsLock {
   using Arena = qsv::platform::NodeArena<Node>;
   using Held = qsv::platform::HeldMap<Node>;
 
-  /// How this instance's waiters wait (and are woken).
-  qsv::platform::RuntimeWait waiter_;
-  /// Per-instance telemetry registration (obs/hook.hpp).
-  [[no_unique_address]] qsv::obs::LockRec rec_;
+  // QsvMutex's pair of lines: the tail, its tallies and rec_'s
+  // registry-only fields on the first; rec_'s kind_ and cold_ and
+  // waiter_ on the second (qsvlint's layout audit pins both).
   alignas(qsv::platform::kFalseSharingRange)
       std::atomic<Node*> tail_{nullptr};
   /// Holder-owned tallies on tail_'s line.
   [[no_unique_address]] qsv::obs::Tally tally_;
+  /// Per-instance telemetry registration (obs/hook.hpp).
+  [[no_unique_address]] qsv::obs::LockRec rec_;
+  /// How this instance's waiters wait (and are woken).
+  qsv::platform::RuntimeWait waiter_;
 };
 
 }  // namespace qsv::locks

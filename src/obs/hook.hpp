@@ -9,10 +9,14 @@
 //     releases. The lock's holder is their only writer, so they are
 //     bumped with a relaxed load and store right after the exchange or
 //     CAS that already owns that line — no extra line, no extra RMW;
-//   * a LockRec on the primitive's read-mostly line: the registration
-//     fields (kind, per-kind sequence, intrusive list links) and the
-//     cold-block pointer. Construction allocates nothing; the registry
-//     walks the intrusive list in registration order;
+//   * a LockRec: the registry-only fields (reader, instance, per-kind
+//     sequence, intrusive list links), then the kind and the cold-block
+//     pointer, which the contended hooks read. Construction allocates
+//     nothing; the registry walks the intrusive list in registration
+//     order. QsvMutex, QsvTimeoutMutex and McsLock are one 128-byte
+//     pair of lines: the lock word, its Tally and the registry-only
+//     fields fill the first 64-byte line; kind_, cold_ and the
+//     RuntimeWait, everything a handoff reads, fill the second;
 //   * a ColdRec on the heap, allocated when the first contended
 //     acquisition starts waiting and freed at unregistration: contended
 //     counts, handoffs, the wait EWMA and histogram, watermarks, the
@@ -33,10 +37,16 @@
 // Hot-path budget: no extra written line and no extra RMW per
 // uncontended event; stripes only for shared entry. QsvMutex and
 // McsLock learn from their own queue node whether a release must close
-// a contended hold, so their uncontended cycle reads no extra line
-// either; the other protocols call note_release() on every release,
-// which reads cold_ on the LockRec's line (read-mostly: the registry
-// rewrites prev_/next_ when a neighbouring record comes or goes).
+// a contended hold, so their uncontended cycle touches only the lock
+// word's line, and their handoff reads only the second line, which
+// only construction writes (then the one-time cold-block install and
+// adaptive's wake-latency estimate). The registry's prev_/next_
+// rewrites, when a neighbouring record comes or goes, land on the lock
+// word's line: construction and destruction only, but a lock in use
+// while its neighbour churns pays a line transfer per rewrite
+// (DESIGN.md, "One observability spine"). The other protocols
+// call note_release() on every release, which reads cold_ on the
+// record's line.
 // Clock reads, the cold block and every RMW of the layer sit on
 // contended paths, which already cost a cache-miss chain. The whole
 // layer compiles out under -DQSV_OBS=0 (CMake option QSV_OBS=OFF): the
@@ -56,6 +66,10 @@
 #ifndef QSV_OBS
 #define QSV_OBS 1
 #endif
+
+namespace qsv::platform {
+struct LayoutAuditAccess;  // platform/cache.hpp: the layout audit's view
+}  // namespace qsv::platform
 
 namespace qsv::obs {
 
@@ -216,16 +230,16 @@ void registry_unregister(LockRec* rec) noexcept;
 struct RegistryAccess;
 }  // namespace detail
 
-/// One primitive instance's registration, embedded in the primitive on
-/// its read-mostly line. The primitive enroll()s it at the end of its
-/// constructor — once every tally it reads is initialized — and
-/// retire()s it first thing in its destructor, before any member the
-/// Reader walks is destroyed: a registered record is read back through
-/// the Reader by every snapshot, so unregistering from ~LockRec (which
-/// runs after the members declared after it) would let a concurrent
-/// snapshot read destroyed tallies. get() is what the primitive's
-/// telemetry() returns: this record when registered, null when the
-/// instance was constructed disabled.
+/// One primitive instance's registration, embedded in the primitive
+/// (the header comment says on which line). The primitive enroll()s it
+/// at the end of its constructor — once every tally it reads is
+/// initialized — and retire()s it first thing in its destructor,
+/// before any member the Reader walks is destroyed: a registered
+/// record is read back through the Reader by every snapshot, so
+/// unregistering from ~LockRec (which runs after the members declared
+/// after it) would let a concurrent snapshot read destroyed tallies.
+/// get() is what the primitive's telemetry() returns: this record when
+/// registered, null when the instance was constructed disabled.
 class LockRec {
  public:
   /// Sums a primitive's in-object tallies; `instance` is the primitive.
@@ -420,6 +434,7 @@ class LockRec {
 
  private:
   friend struct detail::RegistryAccess;
+  friend struct qsv::platform::LayoutAuditAccess;
 
   std::uint64_t cold_word(
       std::atomic<std::uint64_t> ColdRec::*w) const noexcept {
@@ -438,12 +453,18 @@ class LockRec {
   }
   ColdRec* install_cold() noexcept;  // registry.cpp (out of line: cold)
 
-  const char* kind_ = nullptr;  ///< null: never registered
+  // Registry-only fields first: written at registration and when a
+  // neighbouring record comes or goes, read by snapshots. An owner that
+  // places the record right after its lock word's tallies fills the
+  // rest of that 64-byte line with them.
   Reader read_ = nullptr;
   const void* instance_ = nullptr;
   std::uint64_t seq_ = 0;  ///< per-kind registration number ("kind#seq")
   LockRec* prev_ = nullptr;  ///< registry list, under the registry mutex
   LockRec* next_ = nullptr;
+  // What the contended hooks read, last: they start the owner's second
+  // line, beside its wait policy.
+  const char* kind_ = nullptr;  ///< null: never registered
   std::atomic<ColdRec*> cold_{nullptr};
 };
 

@@ -45,7 +45,7 @@ TEST_P(BarrierProperty, NoEarlyCrossing) {
   std::vector<qsv::platform::Padded<std::atomic<std::size_t>>> arrived(team);
   std::atomic<std::uint64_t> violations{0};
 
-  qsv::test::run_crew(team, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(team, [&](std::size_t rank) {
     qsv::validate::ScheduleShaker shaker(profile, 0xFACADE, rank);
     for (std::size_t e = 1; e <= episodes; ++e) {
       shaker.maybe_perturb();

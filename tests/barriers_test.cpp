@@ -83,7 +83,7 @@ TEST(CentralBarrier, ManyEpisodesSequentialConsistencyCheck) {
   qb::CentralBarrier barrier(kTeam);
   std::atomic<std::uint64_t> counter{0};
   std::atomic<std::uint64_t> failures{0};
-  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
     for (std::size_t e = 1; e <= kEpisodes; ++e) {
       counter.fetch_add(1, std::memory_order_relaxed);
       barrier.arrive_and_wait(rank);
@@ -113,7 +113,7 @@ TEST(Catalog, EveryBarrierEntryPassesSmokeIntegrity) {
     auto barrier = entry->make(4);
     std::atomic<std::uint64_t> counter{0};
     std::atomic<std::uint64_t> failures{0};
-    qsv::test::run_crew(4, [&](std::size_t rank) {
+    qsv::harness::ThreadTeam::run(4, [&](std::size_t rank) {
       for (std::size_t e = 1; e <= 200; ++e) {
         counter.fetch_add(1);
         barrier->arrive_and_wait(rank);

@@ -84,15 +84,6 @@ class CrewPolicy {
   qsv::wait_policy saved_;
 };
 
-/// Runs `body(rank)` on `threads` threads. A crew that fits the host
-/// gets a CPU per thread; a larger one is left to the scheduler, which
-/// can move a waiter off a busy CPU. Every ThreadTeam crew that may
-/// outnumber the CPUs (a CrewPolicy crew, a parked crew) starts here.
-template <typename Body>
-void run_crew(std::size_t threads, Body&& body) {
-  qsv::harness::ThreadTeam::run(threads, body, threads <= dedicated_crew());
-}
-
 /// The mutual-exclusion battery: `threads` threads each acquire `lock`
 /// `ops` times, optionally perturbed before the acquisition and inside
 /// the critical section. Two oracles watch the critical section — the
@@ -105,7 +96,7 @@ void exclusion_battery(
   qsv::workload::GuardedCounter counter;
   qsv::validate::ExclusionChecker checker;
   std::vector<std::size_t> completed(threads, 0);
-  run_crew(threads, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(threads, [&](std::size_t rank) {
     qsv::validate::ScheduleShaker shaker(shake, /*seed=*/0xC0FFEE, rank);
     for (std::size_t i = 0; i < ops; ++i) {
       shaker.maybe_perturb();
@@ -137,7 +128,7 @@ void rw_battery(Lock& lock, std::size_t threads, std::size_t ops,
   qsv::workload::VersionedCells cells;
   std::atomic<std::uint64_t> torn{0};
   std::atomic<std::uint64_t> writes{0};
-  run_crew(threads, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(threads, [&](std::size_t rank) {
     qsv::workload::RwMix mix(read_ratio, 31 * rank + 7);
     for (std::size_t i = 0; i < ops; ++i) {
       if (mix.next_is_read()) {
@@ -167,7 +158,7 @@ void phase_integrity(std::size_t team, std::size_t episodes, Args... args) {
   qsv::platform::PaddedArray<std::atomic<std::uint64_t>> stamps(team);
   for (std::size_t i = 0; i < team; ++i) stamps[i].store(0);
   std::atomic<std::uint64_t> failures{0};
-  run_crew(team, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(team, [&](std::size_t rank) {
     for (std::size_t e = 1; e <= episodes; ++e) {
       stamps[rank].store(e, std::memory_order_release);
       barrier.arrive_and_wait(rank);

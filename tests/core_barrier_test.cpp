@@ -47,7 +47,7 @@ TEST(QsvBarrier, CounterConsistencyLongRun) {
   qc::QsvBarrier barrier(kTeam);
   std::atomic<std::uint64_t> counter{0};
   std::atomic<std::uint64_t> failures{0};
-  qsv::test::run_crew(kTeam, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
     for (std::size_t e = 1; e <= kEpisodes; ++e) {
       counter.fetch_add(1, std::memory_order_relaxed);
       barrier.arrive_and_wait();
@@ -67,7 +67,7 @@ TEST(QsvBarrier, TwoBarriersInterleaved) {
   const qsv::test::CrewPolicy policy(kTeam);
   qc::QsvBarrier ba(kTeam), bb(kTeam);
   std::atomic<std::uint64_t> a{0}, b{0}, failures{0};
-  qsv::test::run_crew(kTeam, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
     for (std::size_t e = 1; e <= kEpisodes; ++e) {
       a.fetch_add(1);
       ba.arrive_and_wait();

@@ -52,7 +52,7 @@ TEST(QsvSemaphore, BoundsConcurrencyExactly) {
   std::atomic<int> inside{0};
   std::atomic<int> peak{0};
   std::atomic<std::uint64_t> violations{0};
-  qsv::test::run_crew(kTeam, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
     for (int i = 0; i < 2000; ++i) {
       sem.acquire();
       const int now = inside.fetch_add(1) + 1;

@@ -118,7 +118,7 @@ TYPED_TEST(EventCountTyped, ManyWaitersAllReleasedByOneAdvance) {
   const qsv::test::CrewPolicy policy(kThreads);
   TypeParam ec;
   std::atomic<std::size_t> released{0};
-  qsv::test::run_crew(kThreads, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
     if (rank == 0) {
       // Let the waiters register, then fire.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -135,7 +135,7 @@ TYPED_TEST(EventCountTyped, StaggeredTargetsReleaseInOrder) {
   const qsv::test::CrewPolicy policy(kThreads);
   TypeParam ec;
   std::vector<std::uint32_t> seen(kThreads, 0);
-  qsv::test::run_crew(kThreads, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
     if (rank == 0) {
       for (std::uint32_t i = 0; i < kThreads - 1; ++i) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -157,7 +157,7 @@ TYPED_TEST(EventCountTyped, HammerAwaitAdvanceNoLostWakeups) {
   const qsv::test::CrewPolicy policy(4);
   TypeParam ec;
   constexpr std::uint32_t kEvents = 20000;
-  qsv::test::run_crew(4, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(4, [&](std::size_t rank) {
     if (rank % 2 == 0) {
       for (std::uint32_t i = 0; i < kEvents / 2; ++i) ec.advance();
     } else {
@@ -270,7 +270,7 @@ void ring_mpmc_conservation() {
   Ring ring(16);
   constexpr std::uint64_t kPer = 20000;
   std::atomic<std::uint64_t> sum{0};
-  qsv::test::run_crew(kProducers + kConsumers, [&](std::size_t r) {
+  qsv::harness::ThreadTeam::run(kProducers + kConsumers, [&](std::size_t r) {
     if (r < kProducers) {
       for (std::uint64_t i = 0; i < kPer; ++i) {
         ring.push(static_cast<std::uint32_t>(r * kPer + i));

@@ -421,7 +421,7 @@ TEST_P(ParkedElections, EveryOpRunsExactlyOnce) {
       }
     }
   });
-  qsv::test::run_crew(kParkedThreads, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kParkedThreads, [&](std::size_t rank) {
     std::uint64_t bad = 0;
     for (std::size_t i = 0; i < kStressOps; ++i) {
       exec.run([&] {
@@ -550,7 +550,7 @@ TEST(FcMpmcQueue, BlockingPushPopAcrossATinyRing) {
   qc::FcMpmcQueue<std::uint64_t> q(2, qsv::get_default_wait_policy());
   std::vector<std::uint64_t> received;
   received.reserve(kItems);
-  qsv::test::run_crew(2, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(2, [&](std::size_t rank) {
     if (rank == 0) {
       for (std::uint64_t i = 0; i < kItems; ++i) q.push(i);
     } else {

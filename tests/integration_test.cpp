@@ -61,7 +61,7 @@ TEST(Integration, JacobiPhasesMatchSerialUnderQsvBarrier) {
 
   std::vector<std::int64_t> a = in, b(kCells);
   qc::QsvBarrier barrier(kTeam);
-  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
     const std::size_t lo = kCells * rank / kTeam;
     const std::size_t hi = kCells * (rank + 1) / kTeam;
     auto* src = &a;
@@ -125,7 +125,7 @@ TEST(Integration, MixedPrimitivesUnderOneRoof) {
   std::uint64_t episodes = 0;  // guarded by mu
   std::atomic<std::uint64_t> torn{0};
 
-  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
     for (std::size_t r = 0; r < kRounds; ++r) {
       if (rank % 2 == 0) {
         rw.lock();

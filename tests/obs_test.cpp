@@ -233,13 +233,23 @@ TEST(ObsRegistry, SharedAcquisitionsCountOnTheReaderFace) {
 
 TEST(ObsRecord, ExactCountsUnderContention) {
   // spin_yield so a small host still makes progress under contention.
+  // The lock is constructed last, so it is the registry's tail: every
+  // lock the churn thread constructs and destroys rewrites its next_,
+  // on the lock word's 64-byte line, while the crew counts there.
   qsv::mutex m(qsv::wait_policy::spin_yield);
   const qo::LockRec* rec = m.telemetry();
   if (rec == nullptr) GTEST_SKIP() << "telemetry compiled out";
+  ASSERT_EQ(qo::snapshot().back().instance, static_cast<const void*>(&m));
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 100'000;
   std::uint64_t guarded = 0;
+  std::atomic<int> running{kThreads};
   std::vector<std::thread> team;
+  team.emplace_back([&] {
+    do {
+      qsv::mutex neighbour;
+    } while (running.load(std::memory_order_acquire) != 0);
+  });
   for (int t = 0; t < kThreads; ++t) {
     team.emplace_back([&] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
@@ -247,6 +257,7 @@ TEST(ObsRecord, ExactCountsUnderContention) {
         ++guarded;
         m.unlock();
       }
+      running.fetch_sub(1, std::memory_order_release);
     });
   }
   for (std::thread& t : team) t.join();
@@ -254,10 +265,16 @@ TEST(ObsRecord, ExactCountsUnderContention) {
   ASSERT_EQ(guarded, total);
   // Holder-owned load/store tallies lose nothing: every acquisition is
   // counted once (uncontended on the lock line, contended in the cold
-  // block), and every release is a handoff or a free release.
+  // block), every release is a handoff or a free release, and every
+  // contended acquisition was granted by one handoff.
   EXPECT_EQ(rec->acquisitions(), total);
   EXPECT_EQ(rec->handoffs() + rec->free_releases(), total);
-  EXPECT_LE(rec->contended(), total);
+  EXPECT_EQ(rec->contended(), rec->handoffs());
+  std::size_t listed = 0;
+  for (const qo::LockStats& st : qo::snapshot()) {
+    if (st.instance == static_cast<const void*>(&m)) ++listed;
+  }
+  EXPECT_EQ(listed, 1u);
 }
 
 TEST(ObsRecord, NoColdBlockBeforeFirstContendedAcquisition) {

@@ -180,7 +180,7 @@ TEST(FutexMutex, OversubscribedStillCorrect) {
   qsv::workload::GuardedCounter counter;
   const std::size_t threads = qsv::test::oversubscribed_crew();
   constexpr std::size_t kOps = 500;
-  qsv::test::run_crew(threads, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(threads, [&](std::size_t) {
     for (std::size_t i = 0; i < kOps; ++i) {
       m.lock();
       counter.bump();
@@ -204,7 +204,7 @@ TEST(LotParkWait, QsvSemaphoreStyleHandoffChain) {
   // its predecessor — exercises notify_one delivery through the table.
   qsv::core::QsvMutex<qp::LotParkWait> m;
   std::vector<int> order;
-  qsv::test::run_crew(kThreads, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
     for (int i = 0; i < 200; ++i) {
       m.lock();
       if (order.size() < kThreads) {

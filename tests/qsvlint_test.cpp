@@ -124,9 +124,10 @@ TEST(QsvlintFixtures, EveryRuleHasAFiringAndAQuietCorpus) {
     EXPECT_TRUE(saw_quiet) << "rule '" << rule
                            << "' has no quiet_* fixture";
   }
-  // seam, relaxed-justify, implicit-order, layering, capability have
-  // per-file corpora (layout is tree-level, tested below).
-  EXPECT_GE(rule_dirs, 5u);
+  // seam, relaxed-justify, implicit-order, layering, capability and
+  // cas-recycle have per-file corpora (layout is tree-level, tested
+  // below).
+  EXPECT_GE(rule_dirs, 6u);
 }
 
 /// PR 8's bug class, re-seeded synthetically: a raw yield in a
@@ -140,6 +141,42 @@ TEST(QsvlintSeam, RedetectsTheRawYieldBugClass) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "seam");
   EXPECT_EQ(findings[0].line, 2u);
+}
+
+/// cas-recycle judges the node a CAS operates on: a lock-word CAS whose
+/// failure recycles the caller's own unpublished node (QsvMutex's
+/// try_lock) is quiet, while a relaxed-failure CAS on a node field
+/// outside a retry loop fires, on the CAS's own line, whichever way the
+/// order is spelled (`memory_order::relaxed` here, the fixtures use
+/// `memory_order_relaxed`).
+TEST(QsvlintCasRecycle, JudgesTheNodeTheCasOperatesOn) {
+  const std::string lock_word =
+      "bool try_lock(Node* n) {\n"
+      "  Node* expected = nullptr;\n"
+      "  // relaxed: failure order — n was never published.\n"
+      "  if (var_.compare_exchange_strong(expected, n,\n"
+      "                                   std::memory_order_acq_rel,\n"
+      "                                   std::memory_order_relaxed)) {\n"
+      "    return true;\n"
+      "  }\n"
+      "  Arena::instance().release(n);\n"
+      "  return false;\n"
+      "}\n";
+  EXPECT_TRUE(qsvlint::lint_file("src/core/lock.hpp", lock_word,
+                                 {"cas-recycle"})
+                  .empty());
+  const auto findings = qsvlint::lint_file(
+      "src/core/node.hpp",
+      "void take(Node* n) {\n"
+      "  std::uint32_t expected = 0;\n"
+      "  n->state.compare_exchange_strong(expected, 1,\n"
+      "                                   std::memory_order_acq_rel,\n"
+      "                                   std::memory_order::relaxed);\n"
+      "  use(n);\n"
+      "}\n",
+      {"cas-recycle"});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3u);
 }
 
 /// The same wait inside src/platform/ is the seam itself — no finding.
@@ -266,12 +303,12 @@ TEST(QsvlintLayout, EmptyRegistryAndMissingHeadersFire) {
 
 TEST(QsvlintRules, TableIsCompleteAndStable) {
   const auto& rules = qsvlint::rules();
-  ASSERT_GE(rules.size(), 6u);
+  ASSERT_GE(rules.size(), 7u);
   std::set<std::string> names;
   for (const auto& r : rules) names.insert(r.name);
   for (const char* expect :
        {"seam", "relaxed-justify", "implicit-order", "layering",
-        "capability", "layout"}) {
+        "capability", "layout", "cas-recycle"}) {
     EXPECT_TRUE(names.count(expect)) << "rule missing: " << expect;
   }
 }

@@ -41,7 +41,7 @@ TEST(StdInterop, ScopedLockOverTwoQsvMutexes) {
   long balance_a = 1000, balance_b = 1000;  // guarded by {a, b}
   constexpr int kTransfers = 2000;
 
-  qsv::test::run_crew(2, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(2, [&](std::size_t rank) {
     for (int i = 0; i < kTransfers; ++i) {
       if (rank % 2 == 0) {
         std::scoped_lock guard(a, b);
@@ -62,7 +62,7 @@ TEST(StdInterop, LockGuardAndUniqueLockOverQsvMutex) {
   const qsv::test::CrewPolicy policy(4);
   qsv::mutex mu;
   long counter = 0;
-  qsv::test::run_crew(4, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(4, [&](std::size_t) {
     for (int i = 0; i < 10000; ++i) {
       if (i % 2 == 0) {
         std::lock_guard<qsv::mutex> guard(mu);
@@ -84,7 +84,7 @@ TEST(StdInterop, SharedAndUniqueLockOverQsvSharedMutex) {
   std::vector<int> pair{0, 0};
   std::atomic<long> reads{0};
 
-  qsv::test::run_crew(4, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(4, [&](std::size_t rank) {
     if (rank == 0) {
       for (int i = 0; i < 2000; ++i) {
         std::unique_lock guard(rw);
@@ -241,7 +241,7 @@ TEST(StdInterop, BarrierArriveAndDropShrinksTeam) {
   std::atomic<long> sum{0};
   std::atomic<bool> ragged{false};
 
-  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
     sum.fetch_add(1);
     bar.arrive_and_wait(rank);
     if (sum.load() != kTeam) ragged.store(true);
@@ -268,7 +268,7 @@ TEST(StdInterop, BarrierDropToZeroAndCloserIsDropper) {
   constexpr std::size_t kTeam = 3;
   const qsv::test::CrewPolicy policy(kTeam);
   qsv::barrier bar(kTeam);
-  qsv::test::run_crew(kTeam, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
     if (rank == 0) {
       bar.arrive_and_drop(rank);  // may or may not be the closer
     } else {

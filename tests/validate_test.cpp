@@ -313,7 +313,7 @@ TYPED_TEST(EcShake, RingConservationUnderRoughShake) {
   const qsv::test::CrewPolicy policy(kProducers + kConsumers);
   qsv::eventcount::EcBoundedRing<std::uint32_t, TypeParam> ring(8);
   std::atomic<std::uint64_t> sum{0};
-  qsv::test::run_crew(
+  qsv::harness::ThreadTeam::run(
       kProducers + kConsumers, [&](std::size_t r) {
         qv::ScheduleShaker shaker(qv::ShakeProfile::rough(), 0xD1CE, r);
         if (r < kProducers) {

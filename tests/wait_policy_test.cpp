@@ -170,7 +170,7 @@ class PolicyMatrix : public ::testing::TestWithParam<qsv::wait_policy> {
 TEST_P(PolicyMatrix, MutexMutualExclusion) {
   qsv::mutex mu(GetParam());
   std::uint64_t guarded = 0;
-  qsv::test::run_crew(kThreads, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
     for (std::size_t i = 0; i < kOps; ++i) {
       std::lock_guard<qsv::mutex> hold(mu);
       ++guarded;
@@ -183,7 +183,7 @@ TEST_P(PolicyMatrix, SharedMutexReadersAndWriters) {
   qsv::shared_mutex rw(GetParam());
   std::uint64_t value = 0;
   std::atomic<std::uint64_t> torn{0};
-  qsv::test::run_crew(kThreads, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
     for (std::size_t i = 0; i < kOps; ++i) {
       if (rank % 2 == 0) {
         rw.lock_shared();
@@ -205,7 +205,7 @@ TEST_P(PolicyMatrix, SharedMutexReadersAndWriters) {
 TEST_P(PolicyMatrix, CentralSharedMutexReadersAndWriters) {
   qsv::central_shared_mutex rw(GetParam());
   std::uint64_t value = 0;
-  qsv::test::run_crew(kThreads, [&](std::size_t rank) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
     for (std::size_t i = 0; i < kOps; ++i) {
       if (rank % 2 == 0) {
         rw.lock_shared();
@@ -225,7 +225,7 @@ TEST_P(PolicyMatrix, BarrierEpisodesStayAligned) {
   qsv::barrier bar(kThreads, GetParam());
   std::atomic<std::uint64_t> counter{0};
   std::atomic<std::uint64_t> failures{0};
-  qsv::test::run_crew(kThreads, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
     for (std::size_t e = 1; e <= 100; ++e) {
       counter.fetch_add(1);
       bar.arrive_and_wait(0);
@@ -240,7 +240,7 @@ TEST_P(PolicyMatrix, TimedMutexBoundedAndUnbounded) {
   qsv::timed_mutex tm(GetParam());
   std::uint64_t guarded = 0;
   std::atomic<std::uint64_t> timeouts{0};
-  qsv::test::run_crew(kThreads, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
     for (std::size_t i = 0; i < kOps / 4; ++i) {
       if (tm.try_lock_for(std::chrono::milliseconds(50))) {
         ++guarded;
@@ -262,7 +262,7 @@ TEST_P(PolicyMatrix, SemaphorePermitsConserved) {
   qsv::counting_semaphore sem(2, GetParam());
   std::atomic<std::int64_t> inside{0};
   std::atomic<std::uint64_t> overs{0};
-  qsv::test::run_crew(kThreads, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t) {
     for (std::size_t i = 0; i < kOps / 2; ++i) {
       sem.acquire();
       if (inside.fetch_add(1) >= 2) overs.fetch_add(1);
@@ -344,7 +344,7 @@ TEST_P(LostWakeup, ContendedHandoffsNeverStrandASleeper) {
     }
   });
   const auto deadline = Clock::now() + std::chrono::seconds(3);
-  qsv::test::run_crew(2, [&](std::size_t) {
+  qsv::harness::ThreadTeam::run(2, [&](std::size_t) {
     while (Clock::now() < deadline) {
       for (int i = 0; i < 256; ++i) {
         std::lock_guard<qsv::mutex> hold(mu);

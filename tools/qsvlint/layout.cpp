@@ -21,6 +21,42 @@
 
 namespace qsvlint {
 
+namespace {
+
+/// The pair-of-lines layout QsvMutex, QsvTimeoutMutex and McsLock
+/// share: one 128-byte object whose lock word `word` and Tally sit on
+/// one 64-byte line, and whose RuntimeWait and LockRec::kind_/cold_ —
+/// everything a handoff reads — sit on the other. Only meaningful with
+/// telemetry compiled in: under QSV_OBS=0 the records are empty.
+LayoutEntry two_line_pair(const std::string& header, const std::string& type,
+                          const std::string& word) {
+  const std::string line = " / qsv::platform::kCacheLine";
+  const std::string word_line = "offsetof(" + type + ", " + word + ")" + line;
+  const std::string wait = "offsetof(" + type + ", waiter_)";
+  const std::string wait_line = wait + line;
+  auto rec_field = [&](const std::string& f) {
+    return "offsetof(" + type + ", rec_) + offsetof(qsv::obs::LockRec, " +
+           f + ")";
+  };
+  auto on_wait_line = [&](const std::string& begin, const std::string& size) {
+    return "(" + begin + ")" + line + " == " + wait_line + " && (" + begin +
+           " + " + size + " - 1)" + line + " == " + wait_line;
+  };
+  return {header,
+          type,
+          {word_line + " == (offsetof(" + type +
+               ", tally_) + sizeof(qsv::obs::Tally) - 1)" + line,
+           wait_line + " != " + word_line,
+           "(" + wait + " + sizeof(qsv::platform::RuntimeWait) - 1)" + line +
+               " == " + wait_line,
+           on_wait_line(rec_field("kind_"), "sizeof(const char*)"),
+           on_wait_line(rec_field("cold_"),
+                        "sizeof(std::atomic<qsv::obs::ColdRec*>)")},
+          "QSV_OBS"};
+}
+
+}  // namespace
+
 const std::vector<LayoutEntry>& layout_entries() {
   static const std::vector<LayoutEntry> kEntries = {
       {"src/platform/cache.hpp",
@@ -49,19 +85,31 @@ const std::vector<LayoutEntry>& layout_entries() {
         "qsv::platform::kFalseSharingRange",
         "alignof(qsv::platform::Padded<qsv::locks::ClhLock::Node>) == "
         "qsv::platform::kFalseSharingRange"}},
-      // The lock word and its holder-owned tallies share one 64-byte
-      // line (obs/hook.hpp): the uncontended cycle touches that line
-      // only. A reorder that pushes the tallies off it fails here.
+      // The queue locks are one 128-byte pair of lines (obs/hook.hpp):
+      // the uncontended cycle touches only the lock word's line, a
+      // handoff reads only the other. A reorder that moves a field
+      // across the boundary fails here.
       {"src/core/qsv_mutex.hpp", "qsv::core::QsvMutex<>",
        {"std::is_standard_layout_v<qsv::core::QsvMutex<>>",
-        "alignof(qsv::core::QsvMutex<>) % qsv::platform::kCacheLine == 0",
-        "QSV_OBS == 0 || "
-        "offsetof(qsv::core::QsvMutex<>, var_) / qsv::platform::kCacheLine"
-        " == (offsetof(qsv::core::QsvMutex<>, tally_) + "
-        "sizeof(qsv::obs::Tally) - 1) / qsv::platform::kCacheLine"}},
-      // Telemetry lives inside the lock without growing it.
+        "alignof(qsv::core::QsvMutex<>) == "
+        "qsv::platform::kFalseSharingRange"}},
+      two_line_pair("src/core/qsv_mutex.hpp", "qsv::core::QsvMutex<>",
+                    "var_"),
+      {"src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex",
+       {"std::is_standard_layout_v<qsv::core::QsvTimeoutMutex>",
+        "alignof(qsv::core::QsvTimeoutMutex) == "
+        "qsv::platform::kFalseSharingRange"}},
+      two_line_pair("src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex",
+                    "var_"),
+      {"src/locks/mcs.hpp", "qsv::locks::McsLock",
+       {"std::is_standard_layout_v<qsv::locks::McsLock>",
+        "alignof(qsv::locks::McsLock) == qsv::platform::kFalseSharingRange",
+        "sizeof(qsv::locks::McsLock) == 128"}},
+      two_line_pair("src/locks/mcs.hpp", "qsv::locks::McsLock", "tail_"),
+      // Telemetry and the wait policy live inside the lock's one pair
+      // of lines without growing it.
       {"include/qsv/mutex.hpp", "qsv::mutex",
-       {"sizeof(qsv::mutex) == 256"}},
+       {"sizeof(qsv::mutex) == 128", "sizeof(qsv::timed_mutex) == 128"}},
       {"src/combining/fc_executor.hpp",
        "qsv::combining::FcExecutor<>::Record",
        {"sizeof(qsv::platform::Padded<qsv::combining::FcExecutor<>::Record>)"
@@ -108,10 +156,12 @@ std::string generate_layout_tu(const std::vector<LayoutEntry>& entries) {
       "struct LayoutAuditAccess {\n";
   for (const LayoutEntry& e : entries) {
     out += "  // " + e.type + " (" + e.header + ")\n";
+    if (!e.guard.empty()) out += "#if " + e.guard + "\n";
     for (const std::string& a : e.asserts) {
       out += "  static_assert(" + a + ",\n                \"layout audit: " +
              e.type + "\");\n";
     }
+    if (!e.guard.empty()) out += "#endif\n";
   }
   out +=
       "};\n\n"

@@ -24,6 +24,8 @@
 //                    QSV_CAPABILITY-annotated
 //   layout           the registered hot structs' layout-audit TU is
 //                    generatable and its headers exist
+//   cas-recycle      a compare_exchange on a node field outside a retry
+//                    loop has an acquire failure order
 //
 // Findings are machine-readable (to_json/findings_from_json round-trip,
 // used by tests and any future dashboard). --baseline suppresses listed
@@ -136,6 +138,9 @@ struct LayoutEntry {
   /// static_assert bodies over `T` (spelled literally with the type
   /// name already substituted), e.g. "alignof(T) == 128".
   std::vector<std::string> asserts;
+  /// Preprocessor condition the asserts are compiled under ("" for
+  /// always), e.g. "QSV_OBS" for fields that exist only with telemetry.
+  std::string guard = "";
 };
 
 /// The built-in registry: NodeArena node slots, FC publication records,

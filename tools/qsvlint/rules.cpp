@@ -592,6 +592,104 @@ void capability_run(const FileContext& ctx, std::vector<Finding>& out) {
   }
 }
 
+// ------------------------------------------------------------ cas-recycle
+
+bool cas_recycle_applies(std::string_view path) {
+  return starts_with(path, "src/") || starts_with(path, "include/");
+}
+
+/// The file's code channel as one string, with the line of every char.
+struct FlatCode {
+  std::string text;
+  std::vector<std::size_t> line;  ///< 0-based line index per char
+};
+
+FlatCode flatten(const std::vector<LineInfo>& lines) {
+  FlatCode f;
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    f.text += lines[li].code;
+    f.text.push_back('\n');
+    f.line.resize(f.text.size(), li);
+  }
+  return f;
+}
+
+/// The ')' closing the '(' at `open`, or npos.
+std::size_t match_paren(const std::string& s, std::size_t open) {
+  int depth = 0;
+  for (std::size_t p = open; p < s.size(); ++p) {
+    if (s[p] == '(') ++depth;
+    if (s[p] == ')' && --depth == 0) return p;
+  }
+  return std::string::npos;
+}
+
+/// A compare_exchange on a field of a node reached through a pointer
+/// (`n->state`) whose failure order is relaxed, unless it is the
+/// condition of a retry loop. Losing such a CAS means another thread
+/// granted or withdrew the node, and the loser acts on that: it
+/// recycles the node, or carries on as if it had won. A relaxed failure
+/// does not synchronize with the write it lost to, so the other
+/// thread's last plain access to the node races with the node's next
+/// owner. A retry loop (`while (!x->f.compare_exchange_weak(...))`)
+/// re-reads and tries again, and is exempt.
+void cas_recycle_run(const FileContext& ctx, std::vector<Finding>& out) {
+  const FlatCode f = flatten(*ctx.lines);
+  const std::string& s = f.text;
+  for (std::string_view method :
+       {"compare_exchange_strong", "compare_exchange_weak"}) {
+    for (std::size_t p = find_token(s, method); p != std::string_view::npos;
+         p = find_token(s, method, p + 1)) {
+      std::size_t open = p + method.size();
+      while (open < s.size() &&
+             std::isspace(static_cast<unsigned char>(s[open])))
+        ++open;
+      if (open >= s.size() || s[open] != '(' || p < 1 || s[p - 1] != '.')
+        continue;
+      // Receiver: node->field.
+      std::size_t fb = p - 1;
+      while (fb > 0 && is_ident(s[fb - 1])) --fb;
+      if (fb < 3 || fb == p - 1 || s[fb - 1] != '>' || s[fb - 2] != '-')
+        continue;
+      std::size_t nb = fb - 2;
+      while (nb > 0 && is_ident(s[nb - 1])) --nb;
+      const std::string node = s.substr(nb, fb - 2 - nb);
+      if (node.empty()) continue;
+      const std::string field = s.substr(fb, p - 1 - fb);
+
+      // Failure order: the last memory order named in the call
+      // (memory_order_relaxed or memory_order::relaxed).
+      const std::size_t close = match_paren(s, open);
+      if (close == std::string::npos) continue;
+      const std::string args = s.substr(open, close - open);
+      std::size_t order = args.rfind("memory_order");
+      if (order == std::string::npos) continue;
+      order += 12;
+      while (order < args.size() && (args[order] == '_' || args[order] == ':'))
+        ++order;
+      if (args.compare(order, 7, "relaxed") != 0) continue;
+
+      // A retry loop's condition: the word before the call, past
+      // spaces, '!' and '(', is `while` (while and do-while alike).
+      std::size_t q = nb;
+      while (q > 0 && (std::isspace(static_cast<unsigned char>(s[q - 1])) ||
+                       s[q - 1] == '!' || s[q - 1] == '('))
+        --q;
+      std::size_t wb = q;
+      while (wb > 0 && is_ident(s[wb - 1])) --wb;
+      if (s.compare(wb, q - wb, "while") == 0) continue;
+
+      out.push_back(
+          {ctx.path, f.line[p] + 1, "cas-recycle",
+           "compare_exchange on '" + node + "->" + field +
+               "' has a relaxed failure order outside a retry loop — a "
+               "lost CAS that takes over the node must synchronize with "
+               "the write it lost to; make the failure order "
+               "memory_order_acquire"});
+    }
+  }
+}
+
 // ------------------------------------------------------------------ layout
 
 bool layout_applies(std::string_view) { return false; }  // tree-level rule
@@ -661,6 +759,10 @@ const std::vector<Rule>& rules() {
        "the false-sharing layout-audit registry is generatable and its "
        "headers exist (enforced at compile time by the generated TU)",
        layout_applies, layout_run},
+      {"cas-recycle",
+       "a compare_exchange on a node field outside a retry loop has an "
+       "acquire (not relaxed) failure order",
+       cas_recycle_applies, cas_recycle_run},
   };
   return kTable;
 }
