@@ -42,7 +42,7 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
     if (!measure("ticket slot=" + std::to_string(slot), lock)) return report;
   }
   {
-    qsv::core::QsvMutex<> lock;
+    qsv::core::QsvMutex lock;
     measure("qsv (no tuning)", lock);
   }
   return report;

@@ -1,25 +1,23 @@
-// abl4_parking — Ablation A4: the mechanism over a hand-built futex.
+// abl4_parking — Ablation A4: the mechanism against the futex.
 // Rows:
 //   qsv/spin      — the 1991 protocol, pure user-space spinning
 //                   (RuntimeWait, wait_policy::spin)
 //   qsv/park      — same protocol, terminal wait via OS futex
 //                   (RuntimeWait, wait_policy::park: std::atomic::wait
 //                   past the default spin budget)
-//   qsv/lot-park  — same protocol, terminal wait via *our own*
-//                   parking-lot futex (parking/parking_lot.hpp)
-//   futex         — the classic 3-state futex mutex on the lot (no queue
-//                   protocol at all: what "superseded by futex" looks
-//                   like when the mechanism is dropped entirely)
+//   futex         — the classic 3-state futex mutex (locks/futex.hpp; no
+//                   queue protocol at all: what "superseded by futex"
+//                   looks like when the mechanism is dropped entirely)
 //   std::mutex    — the platform's production lock
 // Claim: dedicated cores leave the strategies close (fast path is one
 // RMW everywhere); oversubscription collapses pure spin while every
-// parking variant — including the hand-built one — keeps throughput.
+// parking variant keeps throughput.
 #include <mutex>
 
 #include "benchreg/kernels.hpp"
 #include "benchreg/registry.hpp"
 #include "core/qsv_mutex.hpp"
-#include "parking/parking_lot.hpp"
+#include "locks/futex.hpp"
 #include "qsv/wait.hpp"
 
 namespace {
@@ -61,22 +59,16 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
     return report.ok && params.algo_match(algo);
   };
   if (want("qsv/spin")) {
-    run_variant<qsv::core::QsvMutex<>>(report, "qsv/spin", dedicated,
-                                       oversub, seconds,
-                                       qsv::wait_policy::spin);
+    run_variant<qsv::core::QsvMutex>(report, "qsv/spin", dedicated, oversub,
+                                     seconds, qsv::wait_policy::spin);
   }
   if (want("qsv/park")) {
-    run_variant<qsv::core::QsvMutex<>>(report, "qsv/park", dedicated,
-                                       oversub, seconds,
-                                       qsv::wait_policy::park);
-  }
-  if (want("qsv/lot-park")) {
-    run_variant<qsv::core::QsvMutex<qsv::parking::LotParkWait>>(
-        report, "qsv/lot-park", dedicated, oversub, seconds);
+    run_variant<qsv::core::QsvMutex>(report, "qsv/park", dedicated, oversub,
+                                     seconds, qsv::wait_policy::park);
   }
   if (want("futex")) {
-    run_variant<qsv::parking::FutexMutex>(report, "futex", dedicated,
-                                          oversub, seconds);
+    run_variant<qsv::locks::FutexMutex>(report, "futex", dedicated,
+                                        oversub, seconds);
   }
   if (want("std::mutex")) {
     run_variant<std::mutex>(report, "std::mutex", dedicated, oversub,
@@ -89,7 +81,7 @@ qsv::benchreg::Registrar reg{{
     .name = "parking",
     .id = "abl4",
     .kind = qsv::benchreg::Kind::kAblation,
-    .title = "QSV over a hand-built futex (parking lot)",
+    .title = "QSV spinning and parking against the futex",
     .claim = "parking variants survive oversubscription; pure spin does "
              "not",
     .run = run,

@@ -48,7 +48,7 @@ constexpr double kGateNs = 5.0;
 /// one hot lock's cycle by more than the gate allows — hit both alike.
 class LockSet {
  public:
-  using Lock = qsv::core::QsvMutex<>;
+  using Lock = qsv::core::QsvMutex;
 
   explicit LockSet(std::size_t count)
       : storage_(std::make_unique<Slot[]>(count)), order_(count) {

@@ -56,7 +56,7 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
                                         oversubscribed, /*cs_ns=*/100);
   };
   {
-    auto flat = qsv::catalog::wrap<qsv::core::QsvMutex<>>();
+    auto flat = qsv::catalog::wrap<qsv::core::QsvMutex>();
     const auto res = run_native(*flat);
     if (!res.ok) {
       report.fail("mutual exclusion violated: qsv (flat)");

@@ -8,9 +8,14 @@
 // Reconstructed claim: the eventcount discipline removes the lock from
 // the hot path; the queued variant additionally removes centralized
 // spinning, which matters as waiters accumulate.
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "benchreg/registry.hpp"
 #include "eventcount/bounded_ring.hpp"
 #include "harness/team.hpp"
+#include "platform/affinity.hpp"
 #include "platform/timing.hpp"
 #include "sim/protocols.hpp"
 #include "workload/ring.hpp"
@@ -51,10 +56,24 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   const std::uint64_t items = params.scale_count(400000, 300.0);
   const std::size_t capacity = 64;
 
-  const std::size_t shapes[][2] = {{1, 1}, {2, 2}, {4, 4}, {1, 7}, {7, 1}};
-  for (const auto& s : shapes) {
-    const std::size_t p = s[0];
-    const std::size_t c = s[1];
+  // Producer+consumer shapes of at most n threads, n = the host's CPUs
+  // capped at 8, at least 2 (--threads sets n): the default pure-spin
+  // policy never puts more spinners than CPUs. 8 CPUs give 1+1, 2+2,
+  // 4+4, 1+7 and 7+1; 4 CPUs give 1+1, 2+2, 1+3 and 3+1.
+  const std::size_t n = std::max<std::size_t>(
+      2, params.threads_or(
+             std::min<std::size_t>(8, qsv::platform::available_cpus())));
+  using Shape = std::pair<std::size_t, std::size_t>;
+  std::vector<Shape> shapes;
+  for (const Shape& s : {Shape{1, 1}, Shape{2, 2}, Shape{n / 2, n / 2},
+                         Shape{1, n - 1}, Shape{n - 1, 1}}) {
+    if (s.first == 0 || s.second == 0 || s.first + s.second > n ||
+        std::find(shapes.begin(), shapes.end(), s) != shapes.end()) {
+      continue;
+    }
+    shapes.push_back(s);
+  }
+  for (const auto& [p, c] : shapes) {
     double qsv_rate, ec_rate, ecq_rate;
     {
       qsv::workload::BoundedRing<std::uint32_t> ring(capacity);

@@ -164,7 +164,7 @@ int run_introspect(std::uint16_t port) {
                  port);
     return 1;
   }
-  qsv::core::QsvMutex<> ledger;
+  qsv::core::QsvMutex ledger;
   qsv::hier::HierQsvMutex journal(/*threads_per_cohort=*/4, /*budget=*/16);
   qsv::introspect::set_name(&ledger, "ledger");
   qsv::introspect::set_name(&journal, "journal");

@@ -72,14 +72,14 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
     lock_row("mcs", l);
   }
   {
-    qsv::core::QsvMutex<> l;
+    qsv::core::QsvMutex l;
     lock_row("qsv", l);
   }
   {
     // Steady-state cycle after warm-up: runs entirely out of the arena's
     // thread-local fast slot and the held map's O(1) hints — no
     // allocation, no vector ops, no linear scan.
-    qsv::core::QsvMutex<> l;
+    qsv::core::QsvMutex l;
     l.lock();
     l.unlock();
     lock_row("qsv (steady-state)", l);

@@ -72,7 +72,7 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   qsv::locks::TicketLock ticket;
   qsv::locks::ClhLock clh;
   qsv::locks::McsLock mcs;
-  qsv::core::QsvMutex<> qsv_mutex;
+  qsv::core::QsvMutex qsv_mutex;
   qsv::core::QsvTimeoutMutex timeout;
   qsv::core::QsvRwLock<> rw;
 

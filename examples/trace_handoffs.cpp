@@ -85,7 +85,7 @@ int main() {
   std::printf("trace_handoffs — FIFO vs barging, %zu threads, 200 ms each\n\n",
               threads);
   const bool qsv_ok =
-      run<qsv::core::QsvMutex<>>("qsv (FIFO handoff)", threads);
+      run<qsv::core::QsvMutex>("qsv (FIFO handoff)", threads);
   const bool ttas_ok =
       run<qsv::locks::TtasNoBackoffLock>("ttas (barging)", threads);
   if (qsv_ok && ttas_ok) return 0;

@@ -38,10 +38,8 @@ namespace qsv {
 /// tier per discovered NUMA node, budgeted local handoff. A Clang
 /// capability like every facade lock (qsv/thread_safety.hpp).
 class QSV_CAPABILITY("mutex") cohort_mutex
-    : public hier::CohortLock<core::QsvMutex<platform::RuntimeWait>,
-                              core::QsvMutex<platform::RuntimeWait>> {
-  using Base = hier::CohortLock<core::QsvMutex<platform::RuntimeWait>,
-                                core::QsvMutex<platform::RuntimeWait>>;
+    : public hier::CohortLock<core::QsvMutex, core::QsvMutex> {
+  using Base = hier::CohortLock<core::QsvMutex, core::QsvMutex>;
 
  public:
   using Base::Base;

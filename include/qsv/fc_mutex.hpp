@@ -42,8 +42,8 @@ namespace qsv {
 /// executes under the lock wherever it is applied, and the analysis
 /// never sees a hold escape the call.
 class QSV_CAPABILITY("mutex") fc_mutex
-    : public combining::FcExecutor<core::QsvMutex<platform::RuntimeWait>> {
-  using Base = combining::FcExecutor<core::QsvMutex<platform::RuntimeWait>>;
+    : public combining::FcExecutor<core::QsvMutex> {
+  using Base = combining::FcExecutor<core::QsvMutex>;
 
  public:
   using Base::Base;
@@ -54,8 +54,7 @@ class QSV_CAPABILITY("mutex") fc_mutex
 
 /// The handoff control with the same run() surface and no combining —
 /// the baseline the fc containers are benched against.
-using plain_executor =
-    combining::PlainExecutor<core::QsvMutex<platform::RuntimeWait>>;
+using plain_executor = combining::PlainExecutor<core::QsvMutex>;
 
 static_assert(api::lockable<fc_mutex>);
 static_assert(api::lockable<plain_executor>);

@@ -21,7 +21,6 @@
 #include "core/condvar.hpp"
 #include "core/qsv_mutex.hpp"
 #include "core/qsv_timeout.hpp"
-#include "platform/wait.hpp"
 #include "qsv/concepts.hpp"
 #include "qsv/thread_safety.hpp"
 #include "qsv/wait.hpp"
@@ -35,9 +34,8 @@ namespace qsv {
 /// with -Wthread-safety and unbalanced lock/unlock on a qsv::mutex is
 /// a compile error. The annotated forwarders cost nothing — they
 /// inline to the base calls on every compiler.
-class QSV_CAPABILITY("mutex") mutex
-    : public core::QsvMutex<platform::RuntimeWait> {
-  using Base = core::QsvMutex<platform::RuntimeWait>;
+class QSV_CAPABILITY("mutex") mutex : public core::QsvMutex {
+  using Base = core::QsvMutex;
 
  public:
   using Base::Base;

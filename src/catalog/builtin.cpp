@@ -31,12 +31,12 @@
 #include "hier/hier_qsv.hpp"
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
+#include "locks/futex.hpp"
 #include "locks/graunke_thakkar.hpp"
 #include "locks/mcs.hpp"
 #include "locks/tas.hpp"
 #include "locks/ticket.hpp"
 #include "locks/ttas.hpp"
-#include "parking/parking_lot.hpp"
 #include "platform/thread_id.hpp"
 #include "platform/wait.hpp"
 #include "rwlocks/central_rw.hpp"
@@ -92,10 +92,10 @@ static const qsv::catalog::Registrar qsv_cat_reg_gt{[] {
 QSV_CATALOG_REGISTER(qsv::locks::ClhLock, "clh");
 QSV_CATALOG_REGISTER(qsv::locks::McsLock, "mcs");
 QSV_CATALOG_REGISTER(qsv::catalog::StdMutexAdapter, "std::mutex");
-// The classic 3-state futex mutex over the hand-built parking lot —
-// the "what the mechanism became" baseline, now a first-class row.
-QSV_CATALOG_REGISTER(qsv::parking::FutexMutex, "futex");
-QSV_CATALOG_REGISTER(qsv::core::QsvMutex<>, "qsv");
+// The classic 3-state futex mutex — the "what the mechanism became"
+// baseline, now a first-class row.
+QSV_CATALOG_REGISTER(qsv::locks::FutexMutex, "futex");
+QSV_CATALOG_REGISTER(qsv::core::QsvMutex, "qsv");
 QSV_CATALOG_REGISTER(qsv::core::QsvTimeoutMutex, "qsv-timeout");
 // hier-qsv's size_t parameters are cohort width and budget, not
 // capacities (entry_default); the budget axis is exposed through
@@ -118,11 +118,11 @@ static const qsv::catalog::Registrar qsv_cat_reg_hier{[] {
 // QSV-repertoire specialization; these measure the cohort effect over
 // other queue protocols (and a centralized ticket tier as control).
 using CohortQsvQsv =
-    qsv::hier::CohortLock<qsv::core::QsvMutex<>, qsv::core::QsvMutex<>>;
+    qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex>;
 using CohortMcsMcs =
     qsv::hier::CohortLock<qsv::locks::McsLock, qsv::locks::McsLock>;
 using CohortQsvTicket =
-    qsv::hier::CohortLock<qsv::core::QsvMutex<>, qsv::locks::TicketLock>;
+    qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::locks::TicketLock>;
 using CohortTicketMcs =
     qsv::hier::CohortLock<qsv::locks::TicketLock, qsv::locks::McsLock>;
 // Both tiers centralized: the all-ticket composition is the scale
@@ -163,8 +163,8 @@ QSV_CATALOG_REGISTER(qsv::core::QsvRwLockCentral, "qsv-rw/central");
 // measures the combining effect in isolation. Their size_t
 // constructor parameters are ring capacity / shard count / stripe
 // count, never a thread capacity: entry_default throughout.
-using FcMutex = qsv::combining::FcExecutor<qsv::core::QsvMutex<>>;
-using PlainExec = qsv::combining::PlainExecutor<qsv::core::QsvMutex<>>;
+using FcMutex = qsv::combining::FcExecutor<qsv::core::QsvMutex>;
+using PlainExec = qsv::combining::PlainExecutor<qsv::core::QsvMutex>;
 using FcQueueU64 = qsv::combining::FcMpmcQueue<std::uint64_t>;
 using PlainQueueU64 =
     qsv::combining::FcMpmcQueue<std::uint64_t, PlainExec>;
@@ -215,14 +215,14 @@ QSV_CATALOG_REGISTER(qsv::eventcount::QueuedEventCount, "queued-ec");
 // (platform/chk_hook.hpp): raw spins poll through cpu_relax, terminal
 // waits go through platform::RuntimeWait. qsv::chk's battery
 // (chk/battery.cpp) explores exactly these rows. Excluded: the std::
-// adapters and the futex mutex — their kernel waits bypass the seam,
-// so the serializing scheduler cannot take control of them.
+// adapters — their kernel waits bypass the seam, so the serializing
+// scheduler cannot take control of them.
 [[maybe_unused]] static const bool qsv_cat_checkable_tagged = [] {
   static constexpr const char* kCheckableRows[] = {
       // locks
       "tas", "ttas", "ttas+backoff", "ticket", "ticket+prop", "anderson",
-      "graunke-thakkar", "clh", "mcs", "qsv", "qsv-timeout", "hier-qsv",
-      "cohort/qsv+qsv", "cohort/mcs+mcs", "cohort/qsv+ticket",
+      "graunke-thakkar", "clh", "mcs", "futex", "qsv", "qsv-timeout",
+      "hier-qsv", "cohort/qsv+qsv", "cohort/mcs+mcs", "cohort/qsv+ticket",
       "cohort/ticket+mcs", "cohort/ticket+ticket",
       // rwlocks
       "central-rw/reader-pref", "central-rw/writer-pref", "qsv-rw",

@@ -68,8 +68,8 @@ enum Capability : std::uint32_t {
                             ///< platform::RuntimeWait), so qsv::chk's
                             ///< serializing scheduler can explore its
                             ///< schedules deterministically. Excludes
-                            ///< the std:: adapters and the futex mutex,
-                            ///< whose kernel waits bypass the seam.
+                            ///< the std:: adapters, whose kernel waits
+                            ///< bypass the seam.
                             ///< Like kSimulable, a property of another
                             ///< subsystem: tagged in builtin.cpp.
 

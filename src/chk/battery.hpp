@@ -86,7 +86,7 @@ Scenario semaphore_scenario(std::int64_t permits, std::size_t threads,
                             std::size_t iters);
 
 /// A delegation scenario: `threads` logical threads each delegate
-/// `iters` checked closures through one FcExecutor<QsvMutex<>>.
+/// `iters` checked closures through one FcExecutor<QsvMutex>.
 Scenario delegation_scenario(std::size_t threads, std::size_t iters);
 
 /// Run the full battery. Every kCheckable lock row gets the lock

@@ -107,7 +107,7 @@ class CheckedSemaphore {
   std::int64_t holders_ = 0;
 };
 
-/// Delegation-checked wrapper over FcExecutor<QsvMutex<>> (spin
+/// Delegation-checked wrapper over FcExecutor<QsvMutex> (spin
 /// waiting, so election losers wait through the scheduler seam). Each
 /// run() delegates one closure that fails the check if another closure
 /// is inside, yields while inside, and counts itself into its poster's
@@ -120,7 +120,7 @@ class CheckedExecutor {
 
  private:
   Ctx& ctx_;
-  combining::FcExecutor<core::QsvMutex<>> exec_;
+  combining::FcExecutor<core::QsvMutex> exec_;
   std::string name_;
   std::size_t inside_;                ///< poster whose closure runs
   std::vector<std::uint64_t> tally_;  ///< closures run, per poster

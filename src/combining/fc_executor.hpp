@@ -13,7 +13,7 @@
 //
 // FcExecutor is that protocol over ANY catalogue mutex:
 //
-//   FcExecutor<qsv::core::QsvMutex<>> exec;
+//   FcExecutor<qsv::core::QsvMutex> exec;
 //   exec.run([&] { /* runs under the lock, possibly on another thread */ });
 //
 // Design notes, in the house idiom:
@@ -112,7 +112,7 @@ struct FcConfig {
   std::uint64_t eviction_idle = 512;
 };
 
-template <typename Mutex = qsv::core::QsvMutex<>>
+template <typename Mutex = qsv::core::QsvMutex>
 class FcExecutor {
  public:
   /// Lifetime combining counters. Exact: every field is written only by
@@ -499,7 +499,7 @@ class FcExecutor {
 /// The control executor: identical run() surface, no combining — plain
 /// lock, execute, unlock. Every fc/* container has a plain/* twin built
 /// on this so the bench isolates the combining effect itself.
-template <typename Mutex = qsv::core::QsvMutex<>>
+template <typename Mutex = qsv::core::QsvMutex>
 class PlainExecutor {
  public:
   /// Shape-compatible with FcExecutor::Stats; always zero — nothing

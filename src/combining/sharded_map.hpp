@@ -9,7 +9,7 @@
 // parameter, so the per-shard lock is catalogue-chosen:
 //
 //   ShardedMap<K, V>                                   // FC over qsv::mutex
-//   ShardedMap<K, V, PlainExecutor<core::QsvMutex<>>>  // handoff control
+//   ShardedMap<K, V, PlainExecutor<core::QsvMutex>>    // handoff control
 //   ShardedMap<K, V, FcExecutor<hier::CohortLock<...>>> // NUMA-cohort FC
 //
 // Operations are per-shard linearizable (each key lives in exactly one

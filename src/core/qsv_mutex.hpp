@@ -22,15 +22,15 @@
 
 namespace qsv::core {
 
-template <typename Wait = qsv::platform::RuntimeWait>
 class QsvMutex {
  public:
   /// The waiting strategy is per-instance state, fixed at construction:
   /// default-constructing picks up the process-wide qsv::wait_policy,
   /// and qsv::mutex(wait_policy::park) pins this instance regardless of
-  /// the process default. `Wait` is RuntimeWait everywhere except
-  /// abl4's hand-built-futex arm (parking::LotParkWait).
-  explicit QsvMutex(Wait waiter = Wait{}) : waiter_(waiter) {
+  /// the process default.
+  explicit QsvMutex(
+      qsv::wait_policy policy = qsv::get_default_wait_policy())
+      : waiter_(policy) {
     rec_.enroll(name(), this, &qsv::obs::read_member<&QsvMutex::tally_>);
   }
   QsvMutex(const QsvMutex&) = delete;
@@ -184,7 +184,7 @@ class QsvMutex {
   [[no_unique_address]] qsv::obs::LockRec rec_;
 
   /// How this instance's blocked threads wait (and are woken).
-  [[no_unique_address]] Wait waiter_;
+  qsv::platform::RuntimeWait waiter_;
 };
 
 }  // namespace qsv::core

@@ -64,18 +64,11 @@ class RuntimeWait {
   /// seeded from QSV_WAIT) and the process-wide spin budget.
   RuntimeWait() : RuntimeWait(qsv::get_default_wait_policy()) {}
 
-  /// Implicit on purpose: QsvMutex takes its `Wait` by value, so the
-  /// enum flows through — QsvMutex<>(wait_policy::park).
-  RuntimeWait(qsv::wait_policy policy)  // NOLINT(google-explicit-constructor)
-      : policy_(policy) {
+  explicit RuntimeWait(qsv::wait_policy policy) : policy_(policy) {
     set_spin_budget(qsv::get_default_spin_budget());
   }
-
-  // relaxed: copying tuning knobs; any torn-free value works.
-  RuntimeWait(const RuntimeWait& other)
-      : policy_(other.policy_),
-        spin_budget_(other.spin_budget_.load(std::memory_order_relaxed)),
-        ewma_polls_(other.ewma_polls_.load(std::memory_order_relaxed)) {}
+  /// One instance per primitive: its calibration is the primitive's.
+  RuntimeWait(const RuntimeWait&) = delete;
   RuntimeWait& operator=(const RuntimeWait&) = delete;
 
   qsv::wait_policy policy() const noexcept { return policy_; }

@@ -27,7 +27,7 @@ class BoundedRing {
   void push(T value) {
     slots_.acquire();
     {
-      qsv::core::QsvMutex<>& m = mutex_;
+      qsv::core::QsvMutex& m = mutex_;
       m.lock();
       buffer_[tail_ % buffer_.size()] = std::move(value);
       ++tail_;
@@ -41,7 +41,7 @@ class BoundedRing {
     items_.acquire();
     T out;
     {
-      qsv::core::QsvMutex<>& m = mutex_;
+      qsv::core::QsvMutex& m = mutex_;
       m.lock();
       out = std::move(buffer_[head_ % buffer_.size()]);
       ++head_;
@@ -71,7 +71,7 @@ class BoundedRing {
   std::vector<T> buffer_;
   qsv::core::QsvSemaphore slots_;
   qsv::core::QsvSemaphore items_;
-  qsv::core::QsvMutex<> mutex_;
+  qsv::core::QsvMutex mutex_;
   std::size_t head_ = 0;  // guarded by mutex_
   std::size_t tail_ = 0;  // guarded by mutex_
 };

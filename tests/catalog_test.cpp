@@ -238,7 +238,7 @@ TEST(Catalog, CapabilityTagsMatchTheTypes) {
   // kCheckable, which are properties of the simulator and the chk
   // checker (tagged onto rows after registration), not of the type.
   EXPECT_EQ(caps("qsv") & ~(qc::kSimulable | qc::kCheckable),
-            qc::caps_of<qsv::core::QsvMutex<>>());
+            qc::caps_of<qsv::core::QsvMutex>());
   EXPECT_TRUE(qc::find("qsv")->has(qc::kSimulable));
   EXPECT_TRUE(qc::find("qsv")->has(qc::kCheckable));
 }

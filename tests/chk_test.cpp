@@ -54,6 +54,7 @@ TEST(ChkCatalogue, CheckableRowsCoverLocksAndRwLocks) {
   EXPECT_GE(rows.size(), 20u);
   EXPECT_NE(row("tas"), nullptr);
   EXPECT_NE(row("qsv"), nullptr);
+  EXPECT_NE(row("futex"), nullptr);  // sleeps through RuntimeWait
   EXPECT_NE(row("cohort/qsv+qsv"), nullptr);
   EXPECT_NE(row("qsv-rw"), nullptr);
   // The std adapters wait in the kernel, outside the chk seam.

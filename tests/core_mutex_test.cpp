@@ -19,13 +19,13 @@ namespace qc = qsv::core;
 namespace qp = qsv::platform;
 
 TEST(QsvMutex, SatisfiesLockableConcept) {
-  static_assert(qsv::api::basic_lockable<qc::QsvMutex<>>);
-  static_assert(qsv::api::lockable<qc::QsvMutex<>>);
+  static_assert(qsv::api::basic_lockable<qc::QsvMutex>);
+  static_assert(qsv::api::lockable<qc::QsvMutex>);
   SUCCEED();
 }
 
 TEST(QsvMutex, UncontendedLockUnlock) {
-  qc::QsvMutex<> m;
+  qc::QsvMutex m;
   m.lock();
   m.unlock();
   m.lock();
@@ -35,12 +35,12 @@ TEST(QsvMutex, UncontendedLockUnlock) {
 
 TEST(QsvMutex, OversubscribedParkWait) {
   // More threads than cores: the park policy must still make progress.
-  qc::QsvMutex<> m(qsv::wait_policy::park);
+  qc::QsvMutex m(qsv::wait_policy::park);
   qsv::test::exclusion_battery(m, qsv::test::oversubscribed_crew(), 1000);
 }
 
 TEST(QsvMutex, TryLockSemantics) {
-  qc::QsvMutex<> m;
+  qc::QsvMutex m;
   EXPECT_TRUE(m.try_lock());
   EXPECT_FALSE(m.try_lock());
   m.unlock();
@@ -49,7 +49,7 @@ TEST(QsvMutex, TryLockSemantics) {
 }
 
 TEST(QsvMutex, HoldsMultipleInstancesNonLifo) {
-  qc::QsvMutex<> a, b, c;
+  qc::QsvMutex a, b, c;
   a.lock();
   b.lock();
   c.lock();
@@ -60,9 +60,9 @@ TEST(QsvMutex, HoldsMultipleInstancesNonLifo) {
 }
 
 TEST(QsvMutex, GuardInterop) {
-  qc::QsvMutex<> m;
+  qc::QsvMutex m;
   {
-    std::unique_lock<qc::QsvMutex<>> g(m);
+    std::unique_lock<qc::QsvMutex> g(m);
     EXPECT_FALSE(m.try_lock());
   }
   EXPECT_TRUE(m.try_lock());
@@ -71,7 +71,7 @@ TEST(QsvMutex, GuardInterop) {
 
 TEST(QsvMutex, FifoHandoffOrder) {
   // Serialize arrivals, then verify admission follows arrival order.
-  qc::QsvMutex<> m;
+  qc::QsvMutex m;
   constexpr std::size_t kRounds = 500;
   const std::size_t kTeam = qsv::test::capped_crew(4);
   std::atomic<std::uint64_t> dispenser{0};
@@ -94,7 +94,7 @@ TEST(QsvMutex, FifoHandoffOrder) {
 }
 
 TEST(QsvMutex, TelemetryClassifiesAcquisitions) {
-  qc::QsvMutex<> m(qsv::wait_policy::spin);
+  qc::QsvMutex m(qsv::wait_policy::spin);
   const qsv::obs::LockRec* rec = m.telemetry();
   if (rec == nullptr) GTEST_SKIP() << "telemetry compiled out";
   m.lock();
@@ -124,7 +124,7 @@ TEST(QsvMutex, StressManyLocksManyThreads) {
   constexpr std::size_t kLocks = 4;
   const std::size_t kTeam = qsv::test::dedicated_crew();
   const std::size_t kOps = qsv::test::quota(24000, kTeam);
-  std::vector<qc::QsvMutex<>> locks(kLocks);
+  std::vector<qc::QsvMutex> locks(kLocks);
   std::vector<qsv::workload::GuardedCounter> counters(kLocks);
   qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
     qp::Xoshiro256 rng(rank + 77);

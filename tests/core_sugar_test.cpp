@@ -94,7 +94,7 @@ TEST(QsvSemaphore, BulkRelease) {
 // --------------------------------------------------------------- condvar
 
 TEST(QsvCondVar, SignalWakesWaiter) {
-  qc::QsvMutex<> m;
+  qc::QsvMutex m;
   qc::QsvCondVar cv;
   bool ready = false;
   std::atomic<bool> observed{false};
@@ -116,7 +116,7 @@ TEST(QsvCondVar, SignalWakesWaiter) {
 
 TEST(QsvCondVar, NotifyAllWakesEveryone) {
   const qsv::test::CrewPolicy policy(7);  // six waiters and the notifier
-  qc::QsvMutex<> m;
+  qc::QsvMutex m;
   qc::QsvCondVar cv;
   bool go = false;
   std::atomic<int> woke{0};
@@ -140,7 +140,7 @@ TEST(QsvCondVar, NotifyAllWakesEveryone) {
 
 TEST(QsvCondVar, ProducerConsumerHandshake) {
   const qsv::test::CrewPolicy policy(2);
-  qc::QsvMutex<> m;
+  qc::QsvMutex m;
   qc::QsvCondVar cv_full, cv_empty;
   int slot = 0;       // 0 = empty
   long consumed = 0;  // guarded by m

@@ -26,7 +26,7 @@ TEST(Integration, BankTransfersConserveTotal) {
   constexpr std::size_t kAccounts = 16;
   const std::size_t kTeam = qsv::test::dedicated_crew();
   const std::size_t kTransfers = qsv::test::quota(40000, kTeam);
-  std::vector<qc::QsvMutex<>> locks(kAccounts);
+  std::vector<qc::QsvMutex> locks(kAccounts);
   std::vector<std::int64_t> balance(kAccounts, 1000);
 
   qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t rank) {
@@ -119,7 +119,7 @@ TEST(Integration, MixedPrimitivesUnderOneRoof) {
   constexpr std::size_t kTeam = 6, kRounds = 300;
   const qsv::test::CrewPolicy policy(kTeam);
   qc::QsvRwLock<> rw;
-  qc::QsvMutex<> mu;
+  qc::QsvMutex mu;
   qc::QsvBarrier barrier(kTeam);
   std::uint64_t version = 0;  // guarded by rw
   std::uint64_t episodes = 0;  // guarded by mu

@@ -98,7 +98,7 @@ TEST_F(IntrospectProtocol, HelpListsEveryCommand) {
 }
 
 TEST_F(IntrospectProtocol, ListAndStatSeeALiveNamedLock) {
-  qsv::core::QsvMutex<> mu(qsv::wait_policy::spin);
+  qsv::core::QsvMutex mu(qsv::wait_policy::spin);
   if (mu.telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
   qsv::introspect::set_name(&mu, "wire-test-lock");
   mu.lock();

@@ -1,7 +1,8 @@
 // locks_test.cpp — per-algorithm properties of the baseline locks:
 // try_lock semantics, RAII interop, FIFO admission, several instances
-// held at once. Mutual exclusion and progress for every catalogue row
-// are validate_test's exclusion battery.
+// held at once, the futex mutex's progress past the CPU count. Mutual
+// exclusion and progress for every catalogue row are validate_test's
+// exclusion battery.
 #include <gtest/gtest.h>
 
 #include <mutex>
@@ -13,9 +14,11 @@
 #include "catalog/catalog.hpp"
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
+#include "locks/futex.hpp"
 #include "locks/mcs.hpp"
 #include "locks/tas.hpp"
 #include "locks/ticket.hpp"
+#include "workload/critical_section.hpp"
 
 namespace ql = qsv::locks;
 
@@ -61,6 +64,16 @@ TEST(McsLock, TryLockContendedNeverBlocks) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 4);
   lock.unlock();
+}
+
+TEST(FutexMutex, TryLockSemantics) {
+  ql::FutexMutex m;
+  ASSERT_TRUE(m.try_lock());
+  std::thread t([&] { EXPECT_FALSE(m.try_lock()); });
+  t.join();
+  m.unlock();
+  ASSERT_TRUE(m.try_lock());
+  m.unlock();
 }
 
 // ----------------------------------------------------------------- guard
@@ -189,6 +202,25 @@ TEST(ClhLock, ManyConstructDestroyCyclesDoNotLeakNodes) {
     lock.unlock();
   }
   SUCCEED();
+}
+
+// ------------------------------------------------------ oversubscription
+
+TEST(FutexMutex, OversubscribedStillCorrect) {
+  // More threads than cores is exactly the regime parking exists for.
+  ql::FutexMutex m;
+  qsv::workload::GuardedCounter counter;
+  const std::size_t threads = qsv::test::oversubscribed_crew();
+  constexpr std::size_t kOps = 500;
+  qsv::harness::ThreadTeam::run(threads, [&](std::size_t) {
+    for (std::size_t i = 0; i < kOps; ++i) {
+      m.lock();
+      counter.bump();
+      m.unlock();
+    }
+  });
+  EXPECT_TRUE(counter.consistent());
+  EXPECT_EQ(counter.value(), threads * kOps);
 }
 
 // -------------------------------------------------------------- registry

@@ -122,7 +122,7 @@ bool dump_mentions(const std::string& needle) {
 TEST(ObsRegistry, RegistersOnConstructionUnregistersOnDestruction) {
   const std::size_t before = qo::size();
   {
-    qc::QsvMutex<> m(qsv::wait_policy::spin);
+    qc::QsvMutex m(qsv::wait_policy::spin);
     if (m.telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
     EXPECT_EQ(qo::size(), before + 1);
     bool found = false;
@@ -172,7 +172,7 @@ TEST(ObsRegistry, DestructionNeverRacesASnapshot) {
       cohort.unlock();
     }
     {
-      qc::QsvMutex<> flat(qsv::wait_policy::spin_yield);
+      qc::QsvMutex flat(qsv::wait_policy::spin_yield);
       flat.lock();
       flat.unlock();
     }
@@ -182,7 +182,7 @@ TEST(ObsRegistry, DestructionNeverRacesASnapshot) {
 }
 
 TEST(ObsRegistry, SetNameRenamesTheRecord) {
-  qc::QsvMutex<> m(qsv::wait_policy::spin);
+  qc::QsvMutex m(qsv::wait_policy::spin);
   if (m.telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
   qo::set_name(&m, "ledger-for-test");
   qo::LockStats st;
@@ -198,13 +198,13 @@ TEST(ObsRegistry, SetNameRenamesTheRecord) {
 TEST(ObsRegistry, DisabledConstructionCarriesNoRecord) {
   const std::size_t before = qo::size();
   qo::set_enabled(false);
-  qc::QsvMutex<> dark(qsv::wait_policy::spin);
+  qc::QsvMutex dark(qsv::wait_policy::spin);
   qo::set_enabled(true);
   EXPECT_EQ(dark.telemetry(), nullptr);
   EXPECT_EQ(qo::size(), before);
   // The switch gates only registration: a lock constructed after
   // re-enabling is observed again.
-  qc::QsvMutex<> lit(qsv::wait_policy::spin);
+  qc::QsvMutex lit(qsv::wait_policy::spin);
 #if QSV_OBS
   EXPECT_NE(lit.telemetry(), nullptr);
 #else
@@ -278,7 +278,7 @@ TEST(ObsRecord, ExactCountsUnderContention) {
 }
 
 TEST(ObsRecord, NoColdBlockBeforeFirstContendedAcquisition) {
-  qc::QsvMutex<> m(qsv::wait_policy::spin_yield);
+  qc::QsvMutex m(qsv::wait_policy::spin_yield);
   const qo::LockRec* rec = m.telemetry();
   if (rec == nullptr) GTEST_SKIP() << "telemetry compiled out";
   for (int i = 0; i < 1000; ++i) {
@@ -362,7 +362,7 @@ TEST(ObsHazards, LogIsBoundedAtTheCap) {
 }
 
 TEST(ObsHazards, DetectHazardsFlagsStarvationByWorstObservedWait) {
-  qc::QsvMutex<> m(qsv::wait_policy::spin_yield);
+  qc::QsvMutex m(qsv::wait_policy::spin_yield);
   if (m.telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
   qo::set_name(&m, "starved-for-test");
   // Manufacture one contended acquisition with a multi-millisecond

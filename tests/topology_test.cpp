@@ -325,7 +325,7 @@ void streak_battery(Lock& lock, std::size_t budget) {
 
 TEST(CohortLock, BudgetBoundsLocalPassStreaksQsvQsv) {
   constexpr std::size_t kBudget = 4;
-  Counting<qsv::core::QsvMutex<>, qsv::core::QsvMutex<>> lock(
+  Counting<qsv::core::QsvMutex, qsv::core::QsvMutex> lock(
       kBudget, qsv::get_default_wait_policy(), qh::BlockCohortMap(4));
   streak_battery(lock, kBudget);
 }
@@ -339,13 +339,13 @@ TEST(CohortLock, BudgetBoundsLocalPassStreaksMcsMcs) {
 
 TEST(CohortLock, BudgetBoundsLocalPassStreaksQsvTicket) {
   constexpr std::size_t kBudget = 4;
-  Counting<qsv::core::QsvMutex<>, qsv::locks::TicketLock> lock(
+  Counting<qsv::core::QsvMutex, qsv::locks::TicketLock> lock(
       kBudget, qsv::get_default_wait_policy(), qh::BlockCohortMap(4));
   streak_battery(lock, kBudget);
 }
 
 TEST(CohortLock, ZeroBudgetNeverPassesLocally) {
-  Counting<qsv::core::QsvMutex<>, qsv::core::QsvMutex<>> lock(
+  Counting<qsv::core::QsvMutex, qsv::core::QsvMutex> lock(
       0, qsv::get_default_wait_policy(), qh::BlockCohortMap(1024));
   const qsv::obs::LockRec* rec = lock.telemetry();
   if (rec == nullptr) GTEST_SKIP() << "telemetry compiled out";
@@ -359,9 +359,9 @@ TEST(CohortLock, ZeroBudgetNeverPassesLocally) {
 }
 
 TEST(CohortLock, TryLockPresentExactlyWhenBothComponentsTry) {
-  using TryTry = qh::CohortLock<qsv::core::QsvMutex<>, qsv::core::QsvMutex<>>;
+  using TryTry = qh::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex>;
   using NoTry =  // TicketLockProportional has no try_lock
-      qh::CohortLock<qsv::core::QsvMutex<>, qsv::locks::TicketLockProportional>;
+      qh::CohortLock<qsv::core::QsvMutex, qsv::locks::TicketLockProportional>;
   static_assert(qsv::catalog::HasTry<TryTry>);
   static_assert(!qsv::catalog::HasTry<NoTry>);
 
@@ -377,7 +377,7 @@ TEST(CohortLock, TryLockPresentExactlyWhenBothComponentsTry) {
 }
 
 TEST(CohortLock, UncontendedAcquireReleaseRepeats) {
-  qh::CohortLock<qsv::core::QsvMutex<>, qsv::core::QsvMutex<>> lock;
+  qh::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex> lock;
   for (int i = 0; i < 10000; ++i) {
     lock.lock();
     lock.unlock();
@@ -386,7 +386,7 @@ TEST(CohortLock, UncontendedAcquireReleaseRepeats) {
 }
 
 TEST(CohortLock, TwoInstancesAreIndependent) {
-  qh::CohortLock<qsv::core::QsvMutex<>, qsv::core::QsvMutex<>> a;
+  qh::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex> a;
   qh::CohortLock<qsv::locks::McsLock, qsv::locks::McsLock> b;
   a.lock();
   b.lock();
@@ -396,8 +396,8 @@ TEST(CohortLock, TwoInstancesAreIndependent) {
 }
 
 TEST(CohortLock, ReportsConfiguration) {
-  qh::CohortLock<qsv::core::QsvMutex<>, qsv::core::QsvMutex<>> lock(8);
+  qh::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex> lock(8);
   EXPECT_EQ(lock.budget(), 8u);
   EXPECT_GE(lock.cohort_count(), 1u);
-  EXPECT_GT(lock.footprint_bytes(), sizeof(qsv::core::QsvMutex<>));
+  EXPECT_GT(lock.footprint_bytes(), sizeof(qsv::core::QsvMutex));
 }

@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "battery.hpp"
+#include "catalog/catalog.hpp"
 #include "harness/team.hpp"
 #include "platform/wait.hpp"
 #include "qsv/qsv.hpp"
@@ -305,22 +307,34 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------- lost wakeups
 //
-// Two threads hand one qsv::mutex back and forth under the parking
-// policies: park with a 1-poll budget sleeps on nearly every handoff,
-// and adaptive's budget falls to its 64-poll floor. A wake the releaser
-// skips strands the sleeper for good — its predecessor has already
-// stored the grant — so a watchdog aborts the process (failing ctest)
-// instead of letting the suite hang. A short run catches a missing
-// notify fence only some of the time; the guarded count proves the
-// handoffs stayed exclusive.
+// Two threads hand one lock back and forth under the parking policies:
+// park with a 1-poll budget sleeps on nearly every handoff, and
+// adaptive's budget falls to its 64-poll floor. The QSV mutex wakes its
+// successor's node; the futex mutex, pinned to park, wakes a sleeper on
+// its one word. Either way a wake the releaser skips strands the sleeper
+// for good — the word it sleeps on has already changed — so a watchdog
+// aborts the process (failing ctest) instead of letting the suite hang.
+// A short run catches a missing notify fence only some of the time (and
+// never through the futex row on x86, whose releasing exchange is a
+// full barrier already); the guarded count proves the handoffs stayed
+// exclusive.
 
-class LostWakeup : public ::testing::TestWithParam<qsv::wait_policy> {};
+namespace {
+struct Sleeper {
+  const char* row;  ///< catalogue row
+  qsv::wait_policy policy;
+};
+}  // namespace
+
+class LostWakeup : public ::testing::TestWithParam<Sleeper> {};
 
 TEST_P(LostWakeup, ContendedHandoffsNeverStrandASleeper) {
   using Clock = std::chrono::steady_clock;
   DefaultsGuard guard;
   qsv::set_default_spin_budget(1);
-  qsv::mutex mu(GetParam());
+  const qsv::catalog::Entry* entry = qsv::catalog::find(GetParam().row);
+  ASSERT_NE(entry, nullptr);
+  const auto mu = entry->make_with(2, GetParam().policy);
   std::uint64_t guarded = 0;
   std::atomic<std::uint64_t> progress{0};
   std::atomic<bool> done{false};
@@ -335,9 +349,9 @@ TEST_P(LostWakeup, ContendedHandoffsNeverStrandASleeper) {
         last_move = Clock::now();
       } else if (Clock::now() - last_move > std::chrono::seconds(10)) {
         std::fprintf(stderr,
-                     "lost wakeup under %s: no handoff for 10 s after %llu "
-                     "acquisitions\n",
-                     qsv::wait_policy_name(GetParam()),
+                     "lost wakeup in %s under %s: no handoff for 10 s "
+                     "after %llu acquisitions\n",
+                     GetParam().row, qsv::wait_policy_name(GetParam().policy),
                      static_cast<unsigned long long>(now));
         std::abort();
       }
@@ -347,7 +361,7 @@ TEST_P(LostWakeup, ContendedHandoffsNeverStrandASleeper) {
   qsv::harness::ThreadTeam::run(2, [&](std::size_t) {
     while (Clock::now() < deadline) {
       for (int i = 0; i < 256; ++i) {
-        std::lock_guard<qsv::mutex> hold(mu);
+        std::lock_guard<qsv::catalog::AnyPrimitive> hold(*mu);
         ++guarded;
       }
       progress.fetch_add(256, std::memory_order_relaxed);
@@ -360,8 +374,13 @@ TEST_P(LostWakeup, ContendedHandoffsNeverStrandASleeper) {
 
 INSTANTIATE_TEST_SUITE_P(
     ParkingPolicies, LostWakeup,
-    ::testing::Values(qsv::wait_policy::park, qsv::wait_policy::adaptive),
-    [](const auto& info) { return qsv::wait_policy_name(info.param); });
+    ::testing::Values(Sleeper{"qsv", qsv::wait_policy::park},
+                      Sleeper{"qsv", qsv::wait_policy::adaptive},
+                      Sleeper{"futex", qsv::wait_policy::park}),
+    [](const auto& info) {
+      return std::string(info.param.row) + "_" +
+             qsv::wait_policy_name(info.param.policy);
+    });
 
 // ---------------------------------------------- pinned facade aliases
 

@@ -89,12 +89,11 @@ const std::vector<LayoutEntry>& layout_entries() {
       // the uncontended cycle touches only the lock word's line, a
       // handoff reads only the other. A reorder that moves a field
       // across the boundary fails here.
-      {"src/core/qsv_mutex.hpp", "qsv::core::QsvMutex<>",
-       {"std::is_standard_layout_v<qsv::core::QsvMutex<>>",
-        "alignof(qsv::core::QsvMutex<>) == "
+      {"src/core/qsv_mutex.hpp", "qsv::core::QsvMutex",
+       {"std::is_standard_layout_v<qsv::core::QsvMutex>",
+        "alignof(qsv::core::QsvMutex) == "
         "qsv::platform::kFalseSharingRange"}},
-      two_line_pair("src/core/qsv_mutex.hpp", "qsv::core::QsvMutex<>",
-                    "var_"),
+      two_line_pair("src/core/qsv_mutex.hpp", "qsv::core::QsvMutex", "var_"),
       {"src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex",
        {"std::is_standard_layout_v<qsv::core::QsvTimeoutMutex>",
         "alignof(qsv::core::QsvTimeoutMutex) == "
@@ -106,6 +105,10 @@ const std::vector<LayoutEntry>& layout_entries() {
         "alignof(qsv::locks::McsLock) == qsv::platform::kFalseSharingRange",
         "sizeof(qsv::locks::McsLock) == 128"}},
       two_line_pair("src/locks/mcs.hpp", "qsv::locks::McsLock", "tail_"),
+      // The futex mutex's RuntimeWait shares its state word's line.
+      {"src/locks/futex.hpp", "qsv::locks::FutexMutex",
+       {"sizeof(qsv::locks::FutexMutex) == "
+        "qsv::platform::kFalseSharingRange"}},
       // Telemetry and the wait policy live inside the lock's one pair
       // of lines without growing it.
       {"include/qsv/mutex.hpp", "qsv::mutex",

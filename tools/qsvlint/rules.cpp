@@ -717,7 +717,7 @@ std::string_view layer_of(std::string_view path) {
   if (is_under("chk/")) return "chk";
   for (std::string_view d :
        {"core/", "locks/", "rwlocks/", "barriers/", "eventcount/",
-        "parking/", "combining/", "hier/", "trace/", "workload/", "sim/"}) {
+        "combining/", "hier/", "trace/", "workload/", "sim/"}) {
     if (is_under(d)) return "primitives";
   }
   for (std::string_view d : {"benchreg/", "harness/", "validate/"}) {
