@@ -5,25 +5,33 @@
 // and the effect grows with cluster size. Budget 0 degenerates to flat
 // QSV plus one hop (the ablation control).
 //
-// The "native" section runs the real HierQsvMutex against flat QSV and
+// The "native" section runs the catalogue's hier-qsv row (the QSV×QSV
+// cohort composition over blocks of four threads) against flat QSV and
 // reports throughput plus the pass/acquire event mix.
+#include <algorithm>
+
 #include "benchreg/kernels.hpp"
 #include "benchreg/registry.hpp"
 #include "catalog/any_primitive.hpp"
 #include "catalog/catalog.hpp"
 #include "core/syncvar.hpp"
-#include "hier/hier_qsv.hpp"
 #include "platform/affinity.hpp"
 #include "platform/topology.hpp"
 #include "sim/protocols.hpp"
 
 namespace {
 
+/// The native team: one pure spinner per allowed CPU, 2 to 8 of them.
+/// `--threads` overrides it, oversubscription included.
+std::size_t native_team(const qsv::benchreg::Params& params) {
+  return params.threads_or(std::max<std::size_t>(
+      2, std::min<std::size_t>(8, qsv::platform::available_cpus())));
+}
 
 qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   qsv::benchreg::Report report;
   const auto rounds = params.scale_count(24, 50.0);
-  const auto threads = params.threads_or(8);
+  const auto threads = native_team(params);
   const double seconds = params.seconds(0.3);
 
   // ---- simulated remote refs per acquisition -------------------------
@@ -47,9 +55,9 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   }
 
   // ---- native throughput + event mix ---------------------------------
-  // 100 ns critical sections. An oversubscribed team gets the external
-  // watchdog (the fig10c precedent): under pure spin no member can be
-  // trusted with timer duty.
+  // 100 ns critical sections. A team oversubscribed by --threads gets
+  // the external watchdog (the fig10c precedent): under pure spin no
+  // member can be trusted with timer duty.
   const bool oversubscribed = threads > qsv::platform::available_cpus();
   const auto run_native = [&](qsv::catalog::AnyPrimitive& lock) {
     return qsv::benchreg::run_lock_loop(lock, threads, seconds,
@@ -67,11 +75,12 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
         .set("algorithm", "qsv (flat)")
         .set("mops", qsv::benchreg::Value(res.throughput_mops(), 2));
   }
+  const auto* hier_row = qsv::catalog::find("hier-qsv");
   for (const std::size_t budget : {0ul, 4ul, 16ul, 64ul}) {
     // Pure spin, the 1991 waiting; the lock's telemetry record supplies
     // the pass/acquire event mix.
-    auto hier = qsv::catalog::wrap<qsv::hier::HierQsvMutex>(
-        /*block=*/4, budget, qsv::wait_policy::spin);
+    auto hier = hier_row->make_budgeted(threads, qsv::wait_policy::spin,
+                                        budget);
     const auto res = run_native(*hier);
     if (!res.ok) {
       report.fail("mutual exclusion violated: hier-qsv");
@@ -107,13 +116,13 @@ qsv::benchreg::Registrar reg{{
 }};
 
 // ---- fig10 extension: the generic cohort combinator -------------------
-// Sweeps every kCohort catalogue entry (the CohortLock compositions plus
-// the fused hier-qsv) across local-handoff budgets through the shared
+// Sweeps every kCohort catalogue entry (the CohortLock compositions,
+// hier-qsv among them) across local-handoff budgets through the shared
 // contention runner, and records the machine topology the cohorts were
 // derived from. CI emits this as BENCH_cohort.json.
 qsv::benchreg::Report run_cohort(const qsv::benchreg::Params& params) {
   qsv::benchreg::Report report;
-  const auto threads = params.threads_or(8);
+  const auto threads = native_team(params);
   const double seconds = params.seconds(0.2);
 
   const auto& topo = qsv::platform::topology();
@@ -124,7 +133,7 @@ qsv::benchreg::Report run_cohort(const qsv::benchreg::Params& params) {
       .set("cpus", topo.cpu_count())
       .set("fallback", topo.is_fallback() ? 1 : 0);
 
-  // External watchdog once the team outnumbers the processors: a
+  // External watchdog once --threads outnumbers the processors: a
   // pure-spin cohort chain on an oversubscribed host makes progress
   // only through preemption, so no team member can be trusted with
   // timer duty (the abl1/abl4 precedent).
@@ -154,9 +163,9 @@ qsv::benchreg::Report run_cohort(const qsv::benchreg::Params& params) {
     }
   }
   report.note("cohort/* entries take cohorts from the discovered topology"
-              " (see section=topology row); hier-qsv keeps its fixed"
-              " block-of-4 cohort map; empty critical sections;"
-              " budget 0 = flat-global ablation");
+              " (see section=topology row); hier-qsv is cohort/qsv+qsv"
+              " over a fixed block-of-4 cohort map; empty critical"
+              " sections; budget 0 = flat-global ablation");
   return report;
 }
 

@@ -26,9 +26,9 @@
 #include "catalog/catalog.hpp"
 #include "core/qsv_mutex.hpp"
 #include "hier/cohort_map.hpp"
-#include "hier/hier_qsv.hpp"
 #include "platform/affinity.hpp"
 #include "platform/topology.hpp"
+#include "qsv/cohort_mutex.hpp"
 #include "qsv/introspect.hpp"
 #include "qsv/wait.hpp"
 
@@ -165,7 +165,7 @@ int run_introspect(std::uint16_t port) {
     return 1;
   }
   qsv::core::QsvMutex ledger;
-  qsv::hier::HierQsvMutex journal(/*threads_per_cohort=*/4, /*budget=*/16);
+  qsv::cohort_mutex journal;
   qsv::introspect::set_name(&ledger, "ledger");
   qsv::introspect::set_name(&journal, "journal");
 

@@ -10,6 +10,8 @@
 #include "benchreg/stats.hpp"
 #include "catalog/std_adapters.hpp"
 #include "core/syncvar.hpp"
+#include "hier/cohort_lock.hpp"
+#include "hier/cohort_map.hpp"
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
 #include "locks/graunke_thakkar.hpp"
@@ -87,6 +89,22 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   {
     qsv::core::QsvTimeoutMutex l;
     lock_row("qsv-timeout", l);
+  }
+  {
+    // The cohort compositions, each after one warm-up cycle has built
+    // the calling thread's cohort.
+    qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex,
+                          qsv::hier::BlockCohortMap>
+        l(16, qsv::get_default_wait_policy(), qsv::hier::BlockCohortMap(4));
+    l.lock();
+    l.unlock();
+    lock_row("hier-qsv", l);
+  }
+  {
+    qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex> l;
+    l.lock();
+    l.unlock();
+    lock_row("cohort/qsv+qsv", l);
   }
   {
     qsv::catalog::StdMutexAdapter l;

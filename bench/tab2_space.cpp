@@ -9,10 +9,14 @@
 // (record and tallies included) plus the heap it owns, measured after
 // one uncontended cycle — and cold_block_bytes is what the first
 // contended acquisition adds.
+#include <memory>
 #include <mutex>
 
 #include "benchreg/registry.hpp"
 #include "core/syncvar.hpp"
+#include "harness/team.hpp"
+#include "hier/cohort_lock.hpp"
+#include "hier/cohort_map.hpp"
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
 #include "locks/graunke_thakkar.hpp"
@@ -21,6 +25,8 @@
 #include "locks/ticket.hpp"
 #include "locks/ttas.hpp"
 #include "obs/hook.hpp"
+#include "obs/registry.hpp"
+#include "platform/affinity.hpp"
 #include "platform/cache.hpp"
 
 namespace {
@@ -93,10 +99,53 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   observed("qsv-rw", rw, sizeof(rw), "constant (4 words + padding)", 0);
   row("std::mutex", sizeof(std::mutex), "constant", 0, sizeof(std::mutex),
       0);
+
+  // The cohort compositions build a cohort's slab on its first use:
+  // footprint_bytes() after one thread's cycle, then after one thread
+  // per allowed CPU has taken the lock, with the registry records the
+  // instance holds at each point.
+  const auto cohort_row = [&](const std::string& algo, auto make) {
+    if (!params.algo_match(algo)) return;
+    const std::size_t before = qsv::obs::size();
+    auto lock = make();
+    lock->lock();
+    lock->unlock();
+    const std::size_t one = lock->footprint_bytes();
+    const std::size_t one_records = qsv::obs::size() - before;
+    const std::size_t crew = qsv::platform::available_cpus();
+    qsv::harness::ThreadTeam::run(crew, [&](std::size_t) {
+      for (int i = 0; i < 1000; ++i) {
+        lock->lock();
+        lock->unlock();
+      }
+    });
+    report.add()
+        .set("algorithm", algo)
+        .set("bytes_per_instance", one)
+        .set("scales_with", "cohorts used")
+        .set("per_waiter_bytes", node)
+        .set("records", one_records)
+        .set("crew", crew)
+        .set("crew_bytes", lock->footprint_bytes())
+        .set("crew_records", qsv::obs::size() - before);
+  };
+  using QsvQsv = qsv::hier::CohortLock<qsv::core::QsvMutex,
+                                       qsv::core::QsvMutex>;
+  using HierQsv = qsv::hier::CohortLock<qsv::core::QsvMutex,
+                                        qsv::core::QsvMutex,
+                                        qsv::hier::BlockCohortMap>;
+  cohort_row("hier-qsv", [] {
+    return std::make_unique<HierQsv>(16, qsv::get_default_wait_policy(),
+                                     qsv::hier::BlockCohortMap(4));
+  });
+  cohort_row("cohort/qsv+qsv", [] { return std::make_unique<QsvQsv>(); });
   report.note("instrumented_bytes: in-object bytes (telemetry record and "
               "tallies included) plus owned heap after one uncontended "
               "cycle; cold_block_bytes: added by the first contended "
               "acquisition");
+  report.note("hier-qsv, cohort/qsv+qsv: bytes_per_instance and records "
+              "after one thread's cycle, crew_bytes and crew_records after "
+              "`crew` threads took the lock");
   report.note("qsv, qsv-timeout, mcs: one 128-byte pair of lines — the "
               "lock word, its tallies and the record's registry links on "
               "the first, the wait policy and what a handoff reads of the "

@@ -1,10 +1,11 @@
-// work_crew — a task farm on the hierarchical (cohort) QSV mutex.
+// work_crew — a task farm on the cohort (hierarchical) QSV lock.
 //
 //   build/work_crew
 //
 // One worker per CPU (at least four), organized in two cohorts (think:
 // two NUMA nodes), pull variable-sized work items from one shared deque.
-// The deque's lock is the contended resource; the hierarchical QSV lock
+// The deque's lock is the contended resource; the cohort lock (QSV
+// global and local tiers, cohorts of consecutive thread indices)
 // prefers handing it to a cohort-mate, which on clustered hardware keeps
 // the lock line and the deque's data resident in one node's cache.
 //
@@ -18,8 +19,10 @@
 #include <deque>
 #include <vector>
 
+#include "core/qsv_mutex.hpp"
 #include "harness/team.hpp"
-#include "hier/hier_qsv.hpp"
+#include "hier/cohort_lock.hpp"
+#include "hier/cohort_map.hpp"
 #include "obs/hook.hpp"
 #include "platform/affinity.hpp"
 #include "platform/rng.hpp"
@@ -45,7 +48,10 @@ struct FarmResult {
 
 FarmResult run_farm(std::size_t workers, std::size_t cohort,
                     std::size_t budget) {
-  qsv::hier::HierQsvMutex lock(cohort, budget);
+  qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex,
+                        qsv::hier::BlockCohortMap>
+      lock(budget, qsv::get_default_wait_policy(),
+           qsv::hier::BlockCohortMap(cohort));
   const qsv::obs::LockRec* rec = lock.telemetry();
   std::deque<WorkItem> queue;  // guarded by `lock`
   qsv::platform::SplitMix64 rng(42);

@@ -28,7 +28,6 @@
 #include "core/syncvar.hpp"
 #include "eventcount/eventcount.hpp"
 #include "hier/cohort_lock.hpp"
-#include "hier/hier_qsv.hpp"
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
 #include "locks/futex.hpp"
@@ -56,16 +55,13 @@ namespace {
 
 // ------------------------------------------------------------- locks
 using TtasBackoff = qsv::locks::TtasLock<>;
-using HierQsv = qsv::hier::HierQsvMutex;
 
 QSV_CATALOG_REGISTER(qsv::locks::TasLock, "tas");
 QSV_CATALOG_REGISTER(qsv::locks::TtasNoBackoffLock, "ttas");
 QSV_CATALOG_REGISTER(TtasBackoff, "ttas+backoff");
 QSV_CATALOG_REGISTER(qsv::locks::TicketLock, "ticket");
-// ticket+prop's size_t parameter is a backoff slot (ns), hier-qsv's a
-// cohort width — not capacities; both take their tuned defaults
-// (entry_default still plumbs the wait policy where a policy
-// constructor exists, as for hier-qsv).
+// ticket+prop's size_t parameter is a backoff slot (ns), not a
+// capacity: it takes its tuned default.
 QSV_CATALOG_REGISTER_DEFAULT(qsv::locks::TicketLockProportional,
                              "ticket+prop");
 QSV_CATALOG_REGISTER(qsv::locks::AndersonLock, "anderson");
@@ -97,26 +93,16 @@ QSV_CATALOG_REGISTER(qsv::catalog::StdMutexAdapter, "std::mutex");
 QSV_CATALOG_REGISTER(qsv::locks::FutexMutex, "futex");
 QSV_CATALOG_REGISTER(qsv::core::QsvMutex, "qsv");
 QSV_CATALOG_REGISTER(qsv::core::QsvTimeoutMutex, "qsv-timeout");
-// hier-qsv's size_t parameters are cohort width and budget, not
-// capacities (entry_default); the budget axis is exposed through
-// make_budgeted so the fig10 sweep can dial it like the combinator
-// entries below.
-static const qsv::catalog::Registrar qsv_cat_reg_hier{[] {
-  auto e = qsv::catalog::entry_default<HierQsv>("hier-qsv");
-  e.make_budgeted = [](std::size_t, qsv::wait_policy policy,
-                       std::size_t budget) {
-    return qsv::catalog::wrap<HierQsv>(/*threads_per_cohort=*/4, budget,
-                                       policy);
-  };
-  return e;
-}()};
 
 // ---------------------------------------------------- cohort compositions
-// The generic cohort combinator (hier/cohort_lock.hpp) over pairs of
-// catalogue mutexes: global tier × local (per-NUMA-node) tier, cohorts
-// from the discovered topology. hier-qsv above remains the fused
-// QSV-repertoire specialization; these measure the cohort effect over
-// other queue protocols (and a centralized ticket tier as control).
+// The cohort combinator (hier/cohort_lock.hpp) over pairs of catalogue
+// mutexes: global tier × local (per-NUMA-node) tier, cohorts from the
+// discovered topology. hier-qsv is the QSV×QSV composition over fixed
+// blocks of four threads, independent of the machine; the rest measure
+// the cohort effect over other queue protocols (and a centralized
+// ticket tier as control).
+using HierQsv = qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex,
+                                      qsv::hier::BlockCohortMap>;
 using CohortQsvQsv =
     qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex>;
 using CohortMcsMcs =
@@ -131,6 +117,9 @@ using CohortTicketMcs =
 using CohortTicketTicket =
     qsv::hier::CohortLock<qsv::locks::TicketLock, qsv::locks::TicketLock>;
 
+static const qsv::catalog::Registrar qsv_cat_reg_hier{
+    qsv::catalog::entry_cohort<HierQsv>("hier-qsv",
+                                        qsv::hier::BlockCohortMap(4))};
 QSV_CATALOG_REGISTER_COHORT(CohortQsvQsv, "cohort/qsv+qsv");
 QSV_CATALOG_REGISTER_COHORT(CohortMcsMcs, "cohort/mcs+mcs");
 QSV_CATALOG_REGISTER_COHORT(CohortQsvTicket, "cohort/qsv+ticket");

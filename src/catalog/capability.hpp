@@ -172,9 +172,9 @@ concept HasEventCount = requires(T t, std::uint32_t target) {
   { t.read() } -> std::convertible_to<std::uint32_t>;
 };
 
-/// Cohort-structured locks (HierQsvMutex, the CohortLock combinator):
-/// they expose the local-handoff budget and the cohort table size, and
-/// their catalogue entries carry the budget-parameterized factory.
+/// Cohort-structured locks (the CohortLock compositions): they expose
+/// the local-handoff budget and the cohort table size, and their
+/// catalogue entries carry the budget-parameterized factory.
 template <typename T>
 concept HasCohortStructure = requires(const T t) {
   { t.budget() } -> std::convertible_to<std::size_t>;
@@ -234,14 +234,15 @@ concept HasComponentLocks = requires {
 };
 
 /// True when the type's waiters follow the policy it is built with. A
-/// composition forwards the policy to its tiers, so it honors one only
-/// when both tiers take it: a hardwired tier (the ticket lock) keeps
-/// its waiters spinning whatever the policy says.
+/// composition takes a policy in every constructor and forwards it to
+/// its tiers, so it honors one exactly when both tiers take it: a
+/// hardwired tier (the ticket lock) keeps its waiters spinning whatever
+/// the policy says. (WaitConfigurable cannot see a composition whose
+/// cohort map has no default, such as the block map of hier-qsv.)
 template <typename T>
 constexpr bool honors_wait_policy() {
   if constexpr (HasComponentLocks<T>) {
-    return WaitConfigurable<T> &&
-           honors_wait_policy<typename T::global_lock_type>() &&
+    return honors_wait_policy<typename T::global_lock_type>() &&
            honors_wait_policy<typename T::local_lock_type>();
   } else {
     return WaitConfigurable<T>;

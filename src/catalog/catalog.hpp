@@ -59,8 +59,8 @@ struct Entry {
       make_with;
   /// Construct at an explicit cohort local-handoff budget. Set exactly
   /// for entries carrying the kCohort capability (the cohort
-  /// compositions and hier-qsv); null for everything else. make_with is
-  /// this factory at the type's default budget.
+  /// compositions, hier-qsv among them); null for everything else.
+  /// make_with is this factory at the type's default budget.
   std::function<std::unique_ptr<AnyPrimitive>(
       std::size_t capacity, qsv::wait_policy policy, std::size_t budget)>
       make_budgeted;
@@ -153,8 +153,8 @@ Entry entry_default(std::string name) {
                 "entry_default needs a default-constructible type");
   Entry e = detail::tagged_entry<T>(std::move(name));
   // Same preference rule, minus the capacity shapes: a policy-aware
-  // constructor (tuned non-capacity defaults + explicit policy, e.g.
-  // hier-qsv) still gets the policy plumbed through.
+  // constructor (tuned non-capacity defaults + explicit policy) still
+  // gets the policy plumbed through.
   e.make_with = [](std::size_t, qsv::wait_policy policy) {
     if constexpr (std::is_constructible_v<T, qsv::wait_policy>) {
       return std::make_unique<Erased<T>>(policy);
@@ -175,17 +175,19 @@ Entry entry_default(std::string name) {
 /// not apply. All three factories are wired: make_budgeted exposes the
 /// budget axis (the fig10 sweep), make_with constructs at the type's
 /// kDefaultBudget, make additionally uses the process wait policy.
-template <typename T>
-Entry entry_cohort(std::string name) {
+/// `map` is the cohort map every instance is built with; without one,
+/// each instance builds its type's default map when it is constructed.
+template <typename T, typename... Map>
+Entry entry_cohort(std::string name, Map... map) {
   static_assert(
-      std::is_constructible_v<T, std::size_t, qsv::wait_policy>,
-      "cohort entries are built from (budget, wait_policy)");
+      std::is_constructible_v<T, std::size_t, qsv::wait_policy, Map...>,
+      "cohort entries are built from (budget, wait_policy[, map])");
   static_assert((caps_of<T>() & kCohort) != 0,
                 "entry_cohort needs a cohort-structured type");
   Entry e = detail::tagged_entry<T>(std::move(name));
-  e.make_budgeted = [](std::size_t, qsv::wait_policy policy,
-                       std::size_t budget) {
-    return std::make_unique<Erased<T>>(budget, policy);
+  e.make_budgeted = [map...](std::size_t, qsv::wait_policy policy,
+                             std::size_t budget) {
+    return std::make_unique<Erased<T>>(budget, policy, map...);
   };
   e.make_with = [mb = e.make_budgeted](std::size_t capacity,
                                        qsv::wait_policy policy) {

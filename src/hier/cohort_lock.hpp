@@ -1,46 +1,50 @@
-// cohort_lock.hpp — the generic cohort (hierarchical) lock combinator.
+// cohort_lock.hpp — the cohort (hierarchical) lock combinator.
 //
-// HierQsvMutex (hier_qsv.hpp) fuses the cohort idea with the QSV node
-// protocol: the local grant and the global grant travel in one store
-// because both tiers speak the same queue-node dialect. That fusion is
-// the specialized, fastest instance — but it hard-wires QSV×QSV.
-// CohortLock is the *combinator*: it implements the same budgeted
-// local-handoff protocol over ANY pair of mutexes from the catalogue
-// (QSV×QSV, MCS×MCS, QSV×ticket, ticket×MCS, …), so every lock family
-// becomes a cohort composition and the cohort effect can be measured
-// independently of the queue protocol that carries it.
+// CohortLock implements one budgeted local-handoff protocol over ANY
+// pair of mutexes from the catalogue (QSV×QSV, MCS×MCS, QSV×ticket,
+// ticket×MCS, …), so every lock family becomes a cohort composition
+// and the cohort effect can be measured independently of the queue
+// protocol that carries it. The catalogue's "hier-qsv" row is the
+// QSV×QSV composition over fixed blocks of four threads.
 //
 // Protocol (Dice/Marathe/Shavit-style lock cohorting, restated for the
 // 1991 repertoire — both tiers still need only fetch&store/CAS-class
-// mutexes; the only thing asked of a component beyond lock/unlock is
-// the global tier's cross-thread-release contract, see below):
+// mutexes; the only things asked of a component beyond lock/unlock are
+// try_lock and the global tier's cross-thread-release contract, see
+// below):
 //
 //   * One LocalLock per cohort (cohorts = NUMA nodes via
 //     TopologyCohortMap by default), one GlobalLock for the machine.
-//   * lock(): announce intent (per-cohort `pending` count), take the
-//     local lock. If the previous holder left the global grant behind
-//     (`top_granted`), the thread owns both locks at the price of one
-//     node-local handoff. Otherwise it acquires the global lock on the
-//     cohort's behalf.
+//     A cohort's slab is built the first time one of its threads
+//     takes the lock, so an instance pays only for the cohorts it uses.
+//   * lock(): try the local lock. Only when the try fails, announce
+//     intent (per-cohort `pending` count) and wait on it. If the
+//     previous holder left the global grant behind (`top_granted`),
+//     the thread owns both locks at the price of one node-local
+//     handoff. Otherwise it acquires the global lock on the cohort's
+//     behalf.
 //   * unlock(): if the budget allows and a cohort-mate is committed
 //     (`pending > 0`), leave `top_granted` set and release only the
 //     local lock — the global lock never moves, the handoff is local.
 //     Otherwise release the global lock first, then the local one.
 //   * `budget` bounds consecutive local passes, so other cohorts wait
-//     at most budget+1 critical sections per tenure — the same
-//     fairness/throughput dial as HierQsvMutex (budget 0 degenerates
-//     to the flat global lock plus one local hop: the ablation
-//     control).
+//     at most budget+1 critical sections per tenure — the
+//     fairness/throughput dial (budget 0 degenerates to the flat
+//     global lock plus one local hop: the ablation control).
 //
 // `pending` makes the handoff safe without inspecting the components:
 // it is incremented before local.lock() and decremented only after
 // local.lock() returns — and since the releasing holder still owns the
 // local lock when it reads `pending`, a nonzero reading proves a
 // cohort-mate is committed to acquiring the local lock and will
-// inherit (and eventually release) the global grant. The remaining
-// per-cohort fields (`top_granted`, `passes`) are owned by the local
-// lock's holder; the local lock's release/acquire ordering carries
-// them between holders, so they need no atomicity of their own.
+// inherit (and eventually release) the global grant. A thread that
+// wins the local try never announces itself, so `pending` is only a
+// hint: a zero reading may miss a thread between its failed try and
+// its announcement, which costs one needless global release, never a
+// stranded grant. The remaining per-cohort fields (`top_granted`,
+// `passes`) are owned by the local lock's holder; the local lock's
+// release/acquire ordering carries them between holders, so they need
+// no atomicity of their own.
 //
 // Per tier the O(1)-remote-reference argument of the underlying locks
 // is preserved: CohortLock adds one per-cohort line (pending + holder
@@ -52,7 +56,6 @@
 #include <atomic>
 #include <concepts>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "hier/cohort_map.hpp"
@@ -82,15 +85,17 @@ concept ThreadObliviousUnlock = requires {
 
 /// The cohort combinator over two exclusive locks. `Map` assigns dense
 /// thread indices to cohorts (TopologyCohortMap by default — one cohort
-/// per NUMA node). Protocol events land on the combinator's own
-/// telemetry record (obs/hook.hpp) — the component locks additionally
-/// register records of their own.
+/// per NUMA node). The combinator's own telemetry record counts
+/// acquisitions, local passes and global tenures; the component locks
+/// keep records of their own, which carry the contended waits,
+/// handoffs and free releases (obs/hook.hpp).
 ///
 /// The global tier's ownership crosses threads (the acquiring cohort
 /// representative and the releasing last holder are usually different
 /// threads), so GlobalLock must either be thread-oblivious or support
 /// hold transfer — enforced at compile time below. The local tier is
-/// always locked and unlocked by the same thread, so any mutex works.
+/// always locked and unlocked by the same thread, so any mutex with a
+/// try_lock works.
 template <typename GlobalLock, typename LocalLock,
           typename Map = TopologyCohortMap>
 class CohortLock {
@@ -101,6 +106,13 @@ class CohortLock {
                 "than acquired it: GlobalLock must implement "
                 "export_hold()/adopt_hold() or declare "
                 "kThreadObliviousUnlock");
+  static_assert(
+      requires(GlobalLock& g, LocalLock& l) {
+        { g.try_lock() } -> std::convertible_to<bool>;
+        { l.try_lock() } -> std::convertible_to<bool>;
+      },
+      "lock() tries the local tier before queueing on it and try_lock() "
+      "tries both tiers: both components must offer try_lock()");
 
  public:
   /// The tiers, named so the catalogue can derive the wait modes the
@@ -108,40 +120,47 @@ class CohortLock {
   using global_lock_type = GlobalLock;
   using local_lock_type = LocalLock;
 
-  /// Default local-handoff budget, matching HierQsvMutex's tuning.
+  /// Default local-handoff budget.
   static constexpr std::size_t kDefaultBudget = 16;
 
   /// `budget`: maximum consecutive intra-cohort handoffs before the
   /// global lock must be released. `policy` is forwarded to whichever
   /// component locks take a wait policy (a hardwired spinner like the
-  /// ticket lock simply ignores it).
+  /// ticket lock simply ignores it), including the local locks of
+  /// cohorts built later.
   explicit CohortLock(std::size_t budget = kDefaultBudget,
                       qsv::wait_policy policy = qsv::get_default_wait_policy(),
                       Map map = Map{})
-      : map_(std::move(map)), budget_(budget), global_(policy) {
-    const std::size_t n = map_.cohort_count(qsv::platform::kMaxThreads);
-    if (n == 0) detail::cohort_fatal("cohort map yields no cohorts");
-    cohorts_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      cohorts_.push_back(
-          std::make_unique<qsv::platform::Padded<Cohort>>(policy));
-    }
+      : map_(std::move(map)),
+        budget_(budget),
+        policy_(policy),
+        global_(policy),
+        cohorts_(map_.cohort_count(qsv::platform::kMaxThreads)) {
+    if (cohorts_.empty()) detail::cohort_fatal("cohort map yields no cohorts");
     rec_.enroll(name(), this, &CohortLock::read_tallies);
   }
   CohortLock(const CohortLock&) = delete;
   CohortLock& operator=(const CohortLock&) = delete;
-  ~CohortLock() { rec_.retire(); }  // unregister before the tallies die
+  ~CohortLock() {
+    rec_.retire();  // unregister before the slabs it reads die
+    for (auto& slot : cohorts_) {
+      // relaxed: the instance is quiescent and no longer listed.
+      delete slot.load(std::memory_order_relaxed);
+    }
+  }
 
   void lock() {
     Cohort& c = my_cohort();
-    // Commit before touching the local lock: a releasing holder that
-    // reads pending > 0 may leave the global grant behind for us.
-    c.pending.fetch_add(1, std::memory_order_relaxed);  // relaxed: see below
-    c.local.lock();
-    // relaxed: pending is a hint for the holder's pass-local decision;
-    // the local lock's own handoff carries all data ordering, and a
-    // stale hint only costs one unnecessary global release.
-    c.pending.fetch_sub(1, std::memory_order_relaxed);
+    if (!c.local.try_lock()) {
+      // Commit before waiting: a releasing holder that reads
+      // pending > 0 may leave the global grant behind for us.
+      c.pending.fetch_add(1, std::memory_order_relaxed);  // relaxed: below
+      c.local.lock();
+      // relaxed: pending is a hint for the holder's pass-local decision;
+      // the local lock's own handoff carries all data ordering, and a
+      // stale hint only costs one unnecessary global release.
+      c.pending.fetch_sub(1, std::memory_order_relaxed);
+    }
     if (c.top_granted) {
       // The previous holder passed the global lock with the local one.
       c.top_granted = false;
@@ -151,18 +170,12 @@ class CohortLock {
       c.tally.count_global_acquire();
       c.passes = 0;
     }
-    c.tally.count_acquire();  // on the line the pending RMW just took
+    c.tally.count_acquire();  // on the cohort line the local lock guards
   }
 
-  /// Non-blocking attempt; present exactly when both components offer
-  /// one. A failed attempt leaves no trace (the local lock is backed
-  /// out when the global attempt loses).
-  bool try_lock()
-    requires requires(GlobalLock& g, LocalLock& l) {
-      { g.try_lock() } -> std::convertible_to<bool>;
-      { l.try_lock() } -> std::convertible_to<bool>;
-    }
-  {
+  /// Non-blocking attempt. A failed attempt leaves no trace (the local
+  /// lock is backed out when the global attempt loses).
+  bool try_lock() {
     Cohort& c = my_cohort();
     if (!c.local.try_lock()) return false;
     if (c.top_granted) {
@@ -215,13 +228,19 @@ class CohortLock {
   static constexpr const char* name() noexcept { return "cohort"; }
 
   std::size_t budget() const noexcept { return budget_; }
+  /// Size of the cohort table: every cohort the map can name.
   std::size_t cohort_count() const noexcept { return cohorts_.size(); }
 
-  /// Fixed per-instance state: the global lock plus one padded cohort
-  /// (local lock + handoff fields) per cohort.
+  /// Per-instance state so far: the global lock, the cohort table and
+  /// one padded slab (local lock + handoff fields) per cohort used.
   std::size_t footprint_bytes() const noexcept {
-    return sizeof(GlobalLock) +
-           cohorts_.size() * sizeof(qsv::platform::Padded<Cohort>);
+    std::size_t built = 0;
+    for (const auto& slot : cohorts_) {
+      // relaxed: a count of installed slabs, nothing read through them.
+      if (slot.load(std::memory_order_relaxed) != nullptr) ++built;
+    }
+    return sizeof(GlobalLock) + cohorts_.size() * sizeof(cohorts_[0]) +
+           built * sizeof(Slab);
   }
 
   /// This instance's registry record (null when telemetry is off).
@@ -251,6 +270,7 @@ class CohortLock {
       requires(!std::constructible_from<LocalLock, qsv::wait_policy>)
         : local() {}
   };
+  using Slab = qsv::platform::Padded<Cohort>;
 
   /// Wraps the global lock so construction can forward the wait policy
   /// exactly when the component accepts one.
@@ -275,8 +295,12 @@ class CohortLock {
 
   static void read_tallies(const void* self,
                            qsv::obs::HotCounts& out) noexcept {
-    for (const auto& c : static_cast<const CohortLock*>(self)->cohorts_) {
-      c->value.tally.add_to(out);
+    for (const auto& slot : static_cast<const CohortLock*>(self)->cohorts_) {
+      // acquire: pairs with the installing CAS (a slab being built is
+      // skipped, never read half-constructed).
+      if (const Slab* s = slot.load(std::memory_order_acquire)) {
+        s->value.tally.add_to(out);
+      }
     }
   }
 
@@ -285,18 +309,39 @@ class CohortLock {
     if (c >= cohorts_.size()) {
       detail::cohort_fatal("thread index exceeds cohort table");
     }
-    return cohorts_[c]->value;
+    // acquire: pairs with the installing CAS in install_cohort().
+    Slab* s = cohorts_[c].load(std::memory_order_acquire);
+    if (s == nullptr) [[unlikely]] s = install_cohort(c);
+    return s->value;
+  }
+
+  /// Build cohort `c`'s slab on its first use. Racing first users each
+  /// build one; the first CAS wins and the losers delete theirs.
+  [[gnu::noinline]] Slab* install_cohort(std::size_t c) {
+    auto* fresh = new Slab(policy_);
+    Slab* seen = nullptr;
+    // acq_rel: publish the constructed slab to every later user;
+    // acquire on failure: adopt the slab another thread installed.
+    if (cohorts_[c].compare_exchange_strong(seen, fresh,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+      return fresh;
+    }
+    delete fresh;
+    return seen;
   }
 
   Map map_;
   std::size_t budget_;
+  /// The policy the local locks of cohorts built later are given.
+  qsv::wait_policy policy_;
   /// Per-instance telemetry registration (obs/hook.hpp).
   [[no_unique_address]] qsv::obs::LockRec rec_;
   GlobalHolder global_;
-  /// One padded slab per cohort, allocated once (component locks are
-  /// neither copyable nor movable, so the table is pointer-stable by
-  /// construction).
-  std::vector<std::unique_ptr<qsv::platform::Padded<Cohort>>> cohorts_;
+  /// One slot per cohort the map can name, null until the cohort's
+  /// first use; a built slab stays put until the lock dies (component
+  /// locks are neither copyable nor movable).
+  std::vector<std::atomic<Slab*>> cohorts_;
 };
 
 }  // namespace qsv::hier

@@ -70,8 +70,6 @@ class BlockCohortMap {
     return (max_threads + block_ - 1) / block_;
   }
 
-  std::size_t block() const noexcept { return block_; }
-
  private:
   std::size_t block_;
 };

@@ -43,8 +43,10 @@ class TicketLock {
   }
 
   bool try_lock() noexcept {
-    // relaxed: sample only; the CAS below validates it.
-    std::uint32_t serving = now_serving_.load(std::memory_order_relaxed);
+    // acquire: pairs with the previous holder's release store of
+    // now_serving_, so a winner is ordered after that critical section
+    // (the CAS below is on the dispenser, which no release writes).
+    std::uint32_t serving = now_serving_.load(std::memory_order_acquire);
     std::uint32_t expected = serving;
     // Succeed only if no ticket is outstanding: next == serving and we can
     // claim it.

@@ -196,11 +196,11 @@ class Tally {
   std::atomic<std::uint64_t> free_releases_{0};
 };
 
-/// A cohort's tallies (HierQsvMutex, CohortLock): the exclusive pair
-/// plus the global tier's tenures, on the cohort's own line. Each word
-/// is written only under the lock that serializes its event — the
-/// cohort's local lock for acquisitions and free releases, the global
-/// lock for tenures.
+/// A cohort's tallies (CohortLock): acquisitions plus the global
+/// tier's tenures, on the cohort's own line (free releases stay with
+/// the component locks). Each word is written only under the lock that
+/// serializes its event — the cohort's local lock for acquisitions,
+/// the global lock for tenures.
 class CohortTally : public Tally {
  public:
   void count_global_acquire() noexcept { bump(global_acquires_, 1); }

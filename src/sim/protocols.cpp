@@ -230,127 +230,15 @@ CohortSeating seat_cohorts(const Machine& m) {
   return s;
 }
 
-struct HierQsvLayout {
-  Addr global_tail;
-  std::vector<Addr> local_tail;   // per cohort, homed at cohort lead
-  std::vector<Addr> rep;          // per cohort: proc holding global (+1)
-  std::vector<Addr> passes;       // per cohort pass counter
-  std::vector<Addr> node_next;    // local-queue node, per proc
-  std::vector<Addr> node_state;   // 0 wait, 1 must-acquire, 2 global-passed
-  std::vector<Addr> gnode_next;   // global-queue node, per proc
-  std::vector<Addr> gnode_state;  // 0 wait, 1 granted
-  // Host-side handoff-locality instrumentation (the sim is single-
-  // threaded and deterministic, so plain counters are exact).
-  std::uint64_t local_passes = 0;
-  std::uint64_t global_acquires = 0;
-  static HierQsvLayout make(Machine& m, std::size_t procs,
-                            const CohortSeating& seat) {
-    HierQsvLayout l;
-    l.global_tail = m.alloc(0, 0);
-    for (std::size_t c = 0; c < seat.cohorts; ++c) {
-      const std::size_t lead = seat.lead[c];
-      l.local_tail.push_back(m.alloc(lead, 0));
-      l.rep.push_back(m.alloc(lead, 0));
-      l.passes.push_back(m.alloc(lead, 0));
-    }
-    for (std::size_t p = 0; p < procs; ++p) {
-      l.node_next.push_back(m.alloc(p, 0));
-      l.node_state.push_back(m.alloc(p, 0));
-      l.gnode_next.push_back(m.alloc(p, 0));
-      l.gnode_state.push_back(m.alloc(p, 0));
-    }
-    return l;
-  }
-};
-
-constexpr Value kHierMustAcquire = 1;
-constexpr Value kHierGlobalPassed = 2;
-
-/// Release the global queue on behalf of cohort `c` (mirrors
-/// HierQsvMutex::release_global; the representative's global node is
-/// recorded in `rep[c]`).
-Task hier_release_global(Machine& m, const HierQsvLayout* l,
-                         std::size_t proc, std::size_t c) {
-  const Value r = co_await m.load(proc, l->rep[c]);
-  const std::size_t owner = unptr(r);
-  Value next = co_await m.load(proc, l->gnode_next[owner]);
-  if (next == 0) {
-    const Value observed =
-        co_await m.cas(proc, l->global_tail, ptr(owner), 0);
-    if (observed == ptr(owner)) co_return;
-    co_await m.wait_while(proc, l->gnode_next[owner],
-                          [](Value v) { return v == 0; });
-    next = co_await m.load(proc, l->gnode_next[owner]);
-  }
-  co_await m.store(proc, l->gnode_state[unptr(next)], 1);
-}
-
-/// Hierarchical QSV port (mirrors hier/hier_qsv.hpp): cohort = NUMA node.
-Task hier_qsv_worker(Machine& m, HierQsvLayout* l, std::size_t proc,
-                     std::size_t rounds, Cycles cs, std::uint64_t budget) {
-  const std::size_t c = m.node_of(proc);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    // ---- acquire ----------------------------------------------------
-    co_await m.store(proc, l->node_next[proc], 0);
-    co_await m.store(proc, l->node_state[proc], 0);
-    const Value pred = co_await m.exchange(proc, l->local_tail[c], ptr(proc));
-    bool have_global = false;
-    if (pred != 0) {
-      co_await m.store(proc, l->node_next[unptr(pred)], ptr(proc));
-      co_await m.wait_while(proc, l->node_state[proc],
-                            [](Value v) { return v == 0; });
-      const Value s = co_await m.load(proc, l->node_state[proc]);
-      have_global = s == kHierGlobalPassed;
-    }
-    if (!have_global) {
-      co_await m.store(proc, l->gnode_next[proc], 0);
-      co_await m.store(proc, l->gnode_state[proc], 0);
-      const Value gpred = co_await m.exchange(proc, l->global_tail, ptr(proc));
-      if (gpred != 0) {
-        co_await m.store(proc, l->gnode_next[unptr(gpred)], ptr(proc));
-        co_await m.wait_while(proc, l->gnode_state[proc],
-                              [](Value v) { return v == 0; });
-      }
-      co_await m.store(proc, l->rep[c], ptr(proc));
-      co_await m.store(proc, l->passes[c], 0);
-      ++l->global_acquires;
-    }
-    // ---- critical section -------------------------------------------
-    co_await m.delay(proc, cs);
-    // ---- release -----------------------------------------------------
-    Value next = co_await m.load(proc, l->node_next[proc]);
-    if (next == 0) {
-      const Value observed =
-          co_await m.cas(proc, l->local_tail[c], ptr(proc), 0);
-      if (observed == ptr(proc)) {
-        co_await hier_release_global(m, l, proc, c);
-        continue;
-      }
-      co_await m.wait_while(proc, l->node_next[proc],
-                            [](Value v) { return v == 0; });
-      next = co_await m.load(proc, l->node_next[proc]);
-    }
-    const Value p = co_await m.load(proc, l->passes[c]);
-    if (p < budget) {
-      co_await m.store(proc, l->passes[c], p + 1);
-      ++l->local_passes;
-      co_await m.store(proc, l->node_state[unptr(next)], kHierGlobalPassed);
-    } else {
-      co_await hier_release_global(m, l, proc, c);
-      co_await m.store(proc, l->node_state[unptr(next)], kHierMustAcquire);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
-// Cohort combinator port (mirrors hier/cohort_lock.hpp). Where
-// HierQsvMutex fuses both tiers into one queue dialect, CohortLock
+// Cohort combinator port (mirrors hier/cohort_lock.hpp). CohortLock
 // layers the budgeted local-handoff protocol over any tier pair; in the
 // sim every catalogue component collapses to one of two dialects —
 // queue (the MCS/QSV shape: exchange to enqueue, spin on your own
 // locally-homed node) and ticket (fetch&add, spin on the shared serving
 // word). "cohort/qsv+ticket" therefore simulates a queue global tier
-// over per-cohort ticket locks, and so on.
+// over per-cohort ticket locks, "hier-qsv" queue tiers on both sides,
+// and so on.
 // ---------------------------------------------------------------------
 
 enum class TierKind { kQueue, kTicket };
@@ -519,6 +407,24 @@ Task cohort_local_lock(Machine& m, const CohortSimLayout* l,
   }
 }
 
+/// LocalLock::try_lock() for cohort `c`: succeeds only on a free tier
+/// (the queue dialect's CAS of an empty tail, the ticket dialect's
+/// claim of the next ticket while none is outstanding).
+Task cohort_local_try_lock(Machine& m, const CohortSimLayout* l,
+                           std::size_t proc, std::size_t c, bool& won) {
+  if (l->local_kind == TierKind::kQueue) {
+    co_await m.store(proc, l->node_next[proc], 0);
+    co_await m.store(proc, l->node_state[proc], 0);
+    const Value observed =
+        co_await m.cas(proc, l->local_tail[c], 0, ptr(proc));
+    won = observed == 0;
+  } else {
+    const Value s = co_await m.load(proc, l->lnow_serving[c]);
+    const Value observed = co_await m.cas(proc, l->lnext_ticket[c], s, s + 1);
+    won = observed == s;
+  }
+}
+
 /// LocalLock::unlock() for cohort `c`.
 Task cohort_local_unlock(Machine& m, const CohortSimLayout* l,
                          std::size_t proc, std::size_t c) {
@@ -540,19 +446,24 @@ Task cohort_local_unlock(Machine& m, const CohortSimLayout* l,
 }
 
 /// The combinator protocol, mirroring CohortLock::lock()/unlock() line
-/// for line: pending announce, local tier, top_granted adoption or
-/// global acquisition; release leaves the grant behind while the budget
-/// allows and a cohort-mate is committed, else global-first release.
+/// for line: local try, else pending announce and local tier;
+/// top_granted adoption or global acquisition; release leaves the grant
+/// behind while the budget allows and a cohort-mate is committed, else
+/// global-first release.
 Task cohort_worker(Machine& m, CohortSimLayout* l, std::size_t proc,
                    std::size_t rounds, Cycles cs) {
   const std::size_t c = m.node_of(proc);
   for (std::size_t r = 0; r < rounds; ++r) {
     // ---- lock() ------------------------------------------------------
-    // Commit before touching the local lock: a releasing holder that
-    // reads pending > 0 may leave the global grant behind for us.
-    co_await m.fetch_add(proc, l->pending[c], 1);
-    co_await cohort_local_lock(m, l, proc, c);
-    co_await m.fetch_add(proc, l->pending[c], Value(0) - 1);
+    bool won = false;
+    co_await cohort_local_try_lock(m, l, proc, c, won);
+    if (!won) {
+      // Commit before waiting: a releasing holder that reads
+      // pending > 0 may leave the global grant behind for us.
+      co_await m.fetch_add(proc, l->pending[c], 1);
+      co_await cohort_local_lock(m, l, proc, c);
+      co_await m.fetch_add(proc, l->pending[c], Value(0) - 1);
+    }
     const Value tg = co_await m.load(proc, l->top_granted[c]);
     if (tg != 0) {
       // The previous holder passed the global lock with the local one
@@ -1014,15 +925,8 @@ void run_lock_protocols(Machine& m, SimRunResult& result,
       m.spawn(graunke_thakkar_worker(m, &l, p, rounds, cs_cycles));
     }
     finish(m, result, max_cycles);
-  } else if (algorithm == "hier-qsv") {
-    auto l = HierQsvLayout::make(m, procs, seat_cohorts(m));
-    for (std::size_t p = 0; p < procs; ++p) {
-      m.spawn(hier_qsv_worker(m, &l, p, rounds, cs_cycles, budget));
-    }
-    finish(m, result, max_cycles);
-    result.local_passes = l.local_passes;
-    result.global_acquires = l.global_acquires;
-  } else if (parse_cohort_name(algorithm, global_kind, local_kind)) {
+  } else if (algorithm == "hier-qsv" ||  // queue tiers on both sides
+             parse_cohort_name(algorithm, global_kind, local_kind)) {
     auto l = CohortSimLayout::make(m, seat_cohorts(m), global_kind,
                                    local_kind, budget);
     for (std::size_t p = 0; p < procs; ++p) {

@@ -25,9 +25,9 @@ struct SimRunResult {
   Counters counters;
   Cycles elapsed = 0;
   bool completed = false;  ///< false = protocol deadlocked / horizon hit
-  /// Handoff locality, filled by the cohort-structured ports (hier-qsv
-  /// and the cohort/* combinator): intra-cohort local passes vs
-  /// global-tier acquisitions. Zero for flat protocols.
+  /// Handoff locality, filled by the cohort port (hier-qsv and the
+  /// cohort/* compositions): intra-cohort local passes vs global-tier
+  /// acquisitions. Zero for flat protocols.
   std::uint64_t local_passes = 0;
   std::uint64_t global_acquires = 0;
 

@@ -24,6 +24,7 @@
 
 #include "harness/team.hpp"
 #include "platform/affinity.hpp"
+#include "platform/arch.hpp"
 #include "platform/cache.hpp"
 #include "platform/thread_id.hpp"
 #include "qsv/wait.hpp"
@@ -84,12 +85,18 @@ class CrewPolicy {
   qsv::wait_policy saved_;
 };
 
+/// How the exclusion battery's threads take the lock.
+enum class Acquire {
+  kLock,       ///< lock()
+  kSpinOnTry,  ///< spin on try_lock() until it succeeds
+};
+
 /// The mutual-exclusion battery: `threads` threads each acquire `lock`
 /// `ops` times, optionally perturbed before the acquisition and inside
 /// the critical section. Two oracles watch the critical section — the
 /// torn-counter detector (GuardedCounter) and the overlap detector
 /// (ExclusionChecker) — and every thread must complete its quota.
-template <typename Lock>
+template <Acquire kHow = Acquire::kLock, typename Lock>
 void exclusion_battery(
     Lock& lock, std::size_t threads, std::size_t ops,
     qsv::validate::ShakeProfile shake = qsv::validate::ShakeProfile::off()) {
@@ -100,9 +107,17 @@ void exclusion_battery(
     qsv::validate::ScheduleShaker shaker(shake, /*seed=*/0xC0FFEE, rank);
     for (std::size_t i = 0; i < ops; ++i) {
       shaker.maybe_perturb();
-      lock.lock();
-      checker.enter();
+      if constexpr (kHow == Acquire::kLock) {
+        lock.lock();
+      } else {
+        while (!lock.try_lock()) qsv::platform::cpu_relax();
+      }
+      // Bumped outside the checker's bracket: the checker's acq_rel CAS
+      // orders each bracket after the one before, so a bump inside it
+      // would hide from TSan a lock that fails to order its critical
+      // sections.
       counter.bump();
+      checker.enter();
       shaker.maybe_perturb();  // perturb *inside* the critical section
       checker.exit();
       lock.unlock();

@@ -18,7 +18,8 @@
 #include "catalog/catalog.hpp"
 #include "core/qsv_mutex.hpp"
 #include "core/qsv_rwlock.hpp"
-#include "hier/hier_qsv.hpp"
+#include "hier/cohort_lock.hpp"
+#include "hier/cohort_map.hpp"
 #include "obs/hook.hpp"
 #include "obs/registry.hpp"
 #include "platform/wait.hpp"
@@ -148,10 +149,12 @@ TEST(ObsRegistry, RegistersOnConstructionUnregistersOnDestruction) {
 
 TEST(ObsRegistry, DestructionNeverRacesASnapshot) {
   // Snapshots read each record's tallies back out of the live instance
-  // (the hierarchical locks walk a heap-backed cohort table), so an
-  // instance must leave the registry before any member it reads dies.
-  // One thread builds, uses and destroys locks while another snapshots
-  // without pause; a teardown that unregisters too late shows up as a
+  // (a cohort lock walks its table of cohort slabs, which it builds on
+  // first use), so an instance must leave the registry before any
+  // member it reads dies, and a snapshot must never read a slab before
+  // it is installed. One thread builds, uses and destroys locks while
+  // another snapshots without pause; a teardown that unregisters too
+  // late, or an install that publishes too early, shows up as a
   // use-after-free under ASan and a race under TSan.
   std::atomic<bool> done{false};
   std::thread reader([&done] {
@@ -162,7 +165,9 @@ TEST(ObsRegistry, DestructionNeverRacesASnapshot) {
   });
   for (int i = 0; i < 300; ++i) {
     {
-      qsv::hier::HierQsvMutex hier(qsv::wait_policy::spin_yield);
+      qsv::hier::CohortLock<qc::QsvMutex, qc::QsvMutex,
+                            qsv::hier::BlockCohortMap>
+          hier(16, qsv::wait_policy::spin_yield, qsv::hier::BlockCohortMap(4));
       hier.lock();
       hier.unlock();
     }

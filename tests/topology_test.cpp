@@ -2,6 +2,7 @@
 // the injectable root) and the generic cohort combinator built on it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "locks/mcs.hpp"
 #include "locks/ticket.hpp"
 #include "obs/hook.hpp"
+#include "obs/registry.hpp"
 #include "platform/topology.hpp"
 #include "workload/critical_section.hpp"
 
@@ -267,7 +269,7 @@ TEST(CohortCatalogue, RegistersAtLeastThreeCompositions) {
     if (e->name.rfind("cohort/", 0) == 0) ++combinators;
   }
   EXPECT_GE(combinators, 3u);
-  // The fused specialization stays registered alongside the combinator.
+  // hier-qsv is the QSV×QSV composition over blocks of four threads.
   const auto* hier = qsv::catalog::find("hier-qsv");
   ASSERT_NE(hier, nullptr);
   EXPECT_TRUE(hier->has(qsv::catalog::kCohort));
@@ -358,12 +360,9 @@ TEST(CohortLock, ZeroBudgetNeverPassesLocally) {
   EXPECT_EQ(rec->local_passes(), 0u);
 }
 
-TEST(CohortLock, TryLockPresentExactlyWhenBothComponentsTry) {
+TEST(CohortLock, TryLockFailsWhileHeldAndBacksOut) {
   using TryTry = qh::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex>;
-  using NoTry =  // TicketLockProportional has no try_lock
-      qh::CohortLock<qsv::core::QsvMutex, qsv::locks::TicketLockProportional>;
   static_assert(qsv::catalog::HasTry<TryTry>);
-  static_assert(!qsv::catalog::HasTry<NoTry>);
 
   TryTry lock;
   ASSERT_TRUE(lock.try_lock());
@@ -374,6 +373,47 @@ TEST(CohortLock, TryLockPresentExactlyWhenBothComponentsTry) {
   lock.unlock();
   ASSERT_TRUE(lock.try_lock());  // backout left the lock usable
   lock.unlock();
+}
+
+TEST(CohortLock, BuildsCohortsOnFirstUse) {
+  // hier-qsv's shape: 128 block-of-4 cohorts in the table, none built
+  // until a thread of the cohort takes the lock.
+  const std::size_t before = qsv::obs::size();
+  Counting<qsv::core::QsvMutex, qsv::core::QsvMutex> lock(
+      16, qsv::get_default_wait_policy(), qh::BlockCohortMap(4));
+  const qsv::obs::LockRec* rec = lock.telemetry();
+  if (rec == nullptr) GTEST_SKIP() << "telemetry compiled out";
+  // The composition's record and its global tier's, nothing per cohort.
+  EXPECT_EQ(qsv::obs::size(), before + 2);
+  const std::size_t unused = lock.footprint_bytes();
+
+  lock.lock();
+  lock.unlock();
+  const std::size_t slab = lock.footprint_bytes() - unused;
+  EXPECT_GT(slab, 0u);
+  EXPECT_EQ(qsv::obs::size(), before + 3);  // the one local tier built
+
+  const qh::BlockCohortMap map(4);
+  std::vector<std::size_t> cohort_of_rank(kThreads);
+  qsv::harness::ThreadTeam::run(kThreads, [&](std::size_t rank) {
+    cohort_of_rank[rank] = map.my_cohort();
+    for (std::size_t i = 0; i < kOps; ++i) {
+      lock.lock();
+      lock.unlock();
+    }
+  });
+  std::vector<bool> used(lock.cohort_count(), false);
+  used[map.my_cohort()] = true;
+  for (const std::size_t c : cohort_of_rank) used[c] = true;
+  const auto cohorts_used =
+      static_cast<std::size_t>(std::count(used.begin(), used.end(), true));
+  // One record and one slab per cohort used, however many threads
+  // raced to build it.
+  EXPECT_EQ(qsv::obs::size(), before + 2 + cohorts_used);
+  EXPECT_EQ(lock.footprint_bytes(), unused + cohorts_used * slab);
+  // The composition's own record counts every acquisition exactly.
+  EXPECT_EQ(rec->acquisitions(), 1 + kThreads * kOps);
+  EXPECT_EQ(rec->global_acquires(), rec->global_releases());
 }
 
 TEST(CohortLock, UncontendedAcquireReleaseRepeats) {

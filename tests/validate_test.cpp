@@ -118,11 +118,14 @@ TEST(ScheduleShaker, DeterministicPerSeed) {
 // ------------------------------------------ the exclusion battery
 
 // Every catalogue lock row runs the exclusion battery (battery.hpp) in
-// up to six legs:
+// up to seven legs:
 //   * dedicated: one thread per allowed CPU, built by make() at the
 //     process default — pure spin in a plain run, park/adaptive under
 //     CI's parked loop, spin_yield under the sanitizers;
 //   * gentle/rough/brutal: the same crew under the shake profiles;
+//   * try: the dedicated crew acquiring by spinning on try_lock(), for
+//     the rows that offer one (kTry) — a winner must be ordered after
+//     the previous holder's critical section, which TSan checks;
 //   * spin_yield/park: an oversubscribed crew (2 x CPUs, at least 4),
 //     built by make_with() under that policy, for the rows whose wait
 //     modes include it.
@@ -163,6 +166,11 @@ TEST_P(ExclusionBattery, Holds) {
   }
   ASSERT_NE(lock, nullptr);
   EXPECT_GT(lock->footprint(), 0u);
+  if (leg == "try") {
+    qsv::test::exclusion_battery<qsv::test::Acquire::kSpinOnTry>(
+        *lock, threads, qsv::test::quota(kShakeOps, threads));
+    return;
+  }
   qsv::test::exclusion_battery(*lock, threads,
                                qsv::test::quota(total, threads), shake);
 }
@@ -174,6 +182,7 @@ std::vector<Leg> battery_legs() {
     for (const char* leg : {"dedicated", "gentle", "rough", "brutal"}) {
       out.emplace_back(e->name, leg);
     }
+    if (e->has(qsv::catalog::kTry)) out.emplace_back(e->name, "try");
     for (const qsv::wait_policy p :
          {qsv::wait_policy::spin_yield, qsv::wait_policy::park}) {
       if (e->has_wait_mode(p)) {
