@@ -146,10 +146,11 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   report.note("hier-qsv, cohort/qsv+qsv: bytes_per_instance and records "
               "after one thread's cycle, crew_bytes and crew_records after "
               "`crew` threads took the lock");
-  report.note("qsv, qsv-timeout, mcs: one 128-byte pair of lines — the "
-              "lock word, its tallies and the record's registry links on "
-              "the first, the wait policy and what a handoff reads of the "
-              "record on the second");
+  report.note("qsv, qsv-timeout, mcs: one 64-byte line — the lock word, "
+              "its tallies, the record's kind, cold-block pointer and "
+              "registry slot number, and the wait policy; the registry "
+              "keeps the rest of each record in a slot of its own table, "
+              "outside the instance");
   return report;
 }
 

@@ -38,13 +38,14 @@ class QsvMutex {
   ~QsvMutex() { rec_.retire(); }  // unregister before the tallies die
 
   void lock() {
-    Node* n = Arena::instance().acquire();
-    // relaxed: node init; the acq_rel exchange below publishes it.
-    n->next.store(nullptr, std::memory_order_relaxed);
-    n->state.store(kWaiting, std::memory_order_relaxed);  // relaxed: as above
+    Node* n = fresh_node();
     // acq_rel: publish our initialized node to the successor-side, and
     // observe the predecessor node published by the previous fetch&store.
     Node* pred = var_.exchange(n, std::memory_order_acq_rel);
+    // The exchange took the lock's line: copy the policy our release
+    // will wake a successor by into our node, so that release reads
+    // only the node.
+    n->policy = waiter_.policy();
     if (pred == nullptr) {
       tally_.count_acquire();  // on the line the exchange just took
     } else {
@@ -54,15 +55,13 @@ class QsvMutex {
   }
 
   bool try_lock() {
-    Node* n = Arena::instance().acquire();
-    // relaxed: node init; the acq_rel CAS below publishes it on success.
-    n->next.store(nullptr, std::memory_order_relaxed);
-    n->state.store(kWaiting, std::memory_order_relaxed);  // relaxed: as above
+    Node* n = fresh_node();
     Node* expected = nullptr;
     // relaxed: failure order — a failed try_lock reads nothing it
     // needs ordered; the node is recycled untouched.
     if (var_.compare_exchange_strong(expected, n, std::memory_order_acq_rel,
                                      std::memory_order_relaxed)) {
+      n->policy = waiter_.policy();  // as in lock()
       tally_.count_acquire();
       Held::local().insert(this, n);
       return true;
@@ -75,13 +74,10 @@ class QsvMutex {
     auto& e = Held::local().find(this);
     Node* n = e.node;
     Held::local().erase(e);
-    // Only a contended acquisition left a granted node (and a hold
-    // stamp in the cold block); the uncontended cycle never leaves the
-    // node's line here.
-    // relaxed: our own node; our acquire spin already saw the grant.
-    if (n->state.load(std::memory_order_relaxed) == kGranted) {
-      rec_.note_release();
-    }
+    // Only a contended acquisition left a cold block (and a hold stamp
+    // in it) in its node: the uncontended cycle never leaves the node's
+    // line here, and no release reads the lock's line for it.
+    if (n->cold != nullptr) n->cold->close_hold();
     Node* next = n->next.load(std::memory_order_acquire);
     if (next == nullptr) {
       // Nobody linked behind us yet. If the variable still points at our
@@ -105,10 +101,10 @@ class QsvMutex {
         qsv::platform::cpu_relax();
       }
     }
-    rec_.count_handoff();
-    // Grant: single store to the line the successor is spinning on.
+    // Grant: single store to the line the successor is spinning on. The
+    // successor counts the handoff itself (ColdRec::count_granted).
     next->state.store(kGranted, std::memory_order_release);
-    waiter_.notify_all(next->state);
+    qsv::platform::RuntimeWait::notify_all(n->policy, next->state);
     Arena::instance().release(n);
   }
 
@@ -147,40 +143,56 @@ class QsvMutex {
   static constexpr std::uint32_t kWaiting = 0;
   static constexpr std::uint32_t kGranted = 1;
 
+  /// A queue node carries what its owner's release needs, so a handoff
+  /// reads nothing of the lock: the wait policy to wake the successor
+  /// by, and the cold block of a contended acquisition. The owner alone
+  /// reads and writes those two; next and state are the protocol.
   struct Node {
     std::atomic<Node*> next{nullptr};
     std::atomic<std::uint32_t> state{kWaiting};
+    qsv::wait_policy policy = qsv::wait_policy::spin;
+    /// Null for an uncontended acquisition (and when telemetry is off).
+    qsv::obs::ColdRec* cold = nullptr;
   };
   using Arena = qsv::platform::NodeArena<Node>;
   using Held = qsv::platform::HeldMap<Node>;
 
+  static Node* fresh_node() {
+    Node* n = Arena::instance().acquire();
+    // relaxed: node init; the acq_rel RMW that enqueues it publishes it.
+    n->next.store(nullptr, std::memory_order_relaxed);
+    n->state.store(kWaiting, std::memory_order_relaxed);  // relaxed: as above
+    n->cold = nullptr;
+    return n;
+  }
+
   /// The contended half of lock(), kept out of line so the uncontended
   /// cycle stays small enough to inline at the call site.
   [[gnu::noinline]] void wait_behind(Node* pred, Node* n) {
+    // Still on the line the exchange took: fetch the cold block before
+    // the predecessor can see us, so neither our grant's bookkeeping
+    // nor our release reads the lock's line again.
+    n->cold = rec_.waiter_cold();
     // Make ourselves visible to the predecessor's release; its acquire
     // load of `next` pairs with this release store.
     pred->next.store(n, std::memory_order_release);
-    const std::uint64_t t0 = rec_.wait_begin_ns();
+    const std::uint64_t t0 = n->cold != nullptr ? qsv::platform::now_ns() : 0;
     waiter_.wait_while_equal(n->state, kWaiting);
-    rec_.count_contended_acquire(t0);
+    if (n->cold != nullptr) n->cold->count_granted(t0);
   }
 
-  // One 128-byte pair of lines. The first holds the lock word, its
-  // tallies and rec_'s registry-only fields: the uncontended cycle
-  // touches this line alone. The second holds rec_'s kind_ and cold_
-  // and waiter_: everything a handoff reads, written only at
-  // construction (then once when the first contended acquisition
-  // installs the cold block, and by adaptive's wake-latency estimate).
-  // qsvlint's layout audit pins both lines.
+  // One 64-byte line: the lock word, its tallies, rec_ (kind, cold-block
+  // pointer, registry slot) and waiter_. Every arrival's exchange takes
+  // the line, so a handoff reads none of it: the queue nodes carry what
+  // a release needs (Node). qsvlint's layout audit pins the size.
 
   /// The synchronization variable itself: queue tail, null when free.
-  alignas(qsv::platform::kFalseSharingRange)
-      std::atomic<Node*> var_{nullptr};
-  /// Holder-owned tallies on var_'s 64-byte line.
+  alignas(qsv::platform::kCacheLine) std::atomic<Node*> var_{nullptr};
+  /// Holder-owned tallies on var_'s line.
   [[no_unique_address]] qsv::obs::Tally tally_;
 
-  /// Per-instance telemetry registration (obs/hook.hpp), straddling the
-  /// two lines; empty and folded away under -DQSV_OBS=0.
+  /// Per-instance telemetry registration (obs/hook.hpp); empty and
+  /// folded away under -DQSV_OBS=0.
   [[no_unique_address]] qsv::obs::LockRec rec_;
 
   /// How this instance's blocked threads wait (and are woken).

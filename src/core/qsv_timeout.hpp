@@ -112,14 +112,18 @@ class QsvTimeoutMutex {
     map.erase(e);
     // Successor (spinning on our node) sees the release and reclaims it.
     // The releaser cannot tell handoff from free release (successors
-    // are implicit in this protocol): only the hold watermark updates.
-    rec_.note_release();
+    // are implicit in this protocol): only the hold watermark updates,
+    // and only a waited acquisition left a cold block in its node. The
+    // release reads only its own node, and reads it before the store
+    // that hands the node to the successor.
+    if (mine->cold != nullptr) mine->cold->close_hold();
+    const qsv::wait_policy policy = mine->policy;
     mine->state.store(kReleased, std::memory_order_release);
     // A parked successor needs the wake. It may already have observed
     // the store, taken the variable, and recycled the node — benign:
     // arena nodes are never unmapped, and every wait re-checks its
     // predicate on spurious wakes.
-    waiter_.notify_all(mine->state);
+    qsv::platform::RuntimeWait::notify_all(policy, mine->state);
   }
 
   static constexpr const char* name() noexcept { return "qsv-timeout"; }
@@ -142,6 +146,10 @@ class QsvTimeoutMutex {
     std::atomic<std::uint32_t> state{kWaiting};
     /// Valid only once state == kAbandoned: where the skipper continues.
     std::atomic<Node*> pred{nullptr};
+    /// What the owner's release needs, so it reads nothing of the lock:
+    /// the wait policy, and the cold block of a waited acquisition.
+    qsv::wait_policy policy = qsv::wait_policy::spin;
+    qsv::obs::ColdRec* cold = nullptr;
   };
   using Arena = qsv::platform::NodeArena<Node>;
 
@@ -150,15 +158,17 @@ class QsvTimeoutMutex {
     // relaxed: node init; the acq_rel exchange below publishes it.
     n->state.store(kWaiting, std::memory_order_relaxed);
     n->pred.store(nullptr, std::memory_order_relaxed);  // relaxed: as above
+    n->cold = nullptr;
     // Enqueue: acq_rel publishes our node and imports the predecessor's.
     Node* pred = var_.exchange(n, std::memory_order_acq_rel);
 
     // Wait on the predecessor chain, skipping abandoned nodes.
-    const bool yield_late =
-        waiter_.policy() != qsv::wait_policy::spin;
+    n->policy = waiter_.policy();
+    const bool yield_late = n->policy != qsv::wait_policy::spin;
     const std::uint32_t budget = waiter_.spin_budget();
     std::uint32_t polls = 0, spent = 0;
     bool waited = false;
+    qsv::obs::ColdRec* cold = nullptr;
     std::uint64_t t0 = 0;
     for (;;) {
       const std::uint32_t s = pred->state.load(std::memory_order_acquire);
@@ -166,10 +176,11 @@ class QsvTimeoutMutex {
         // We own the variable. Adopt-and-reclaim the predecessor.
         Arena::instance().release(pred);
         qsv::platform::HeldMap<Node>::local().insert(this, n);
-        if (waited) {
-          rec_.count_contended_acquire(t0);
-        } else {
+        if (!waited) {
           tally_.count_acquire();  // on var_'s line, taken by the exchange
+        } else if (cold != nullptr) {
+          n->cold = cold;
+          cold->count_contended(t0);
         }
         return true;
       }
@@ -186,7 +197,8 @@ class QsvTimeoutMutex {
       // exempt from the bracket.
       if (deadline_ns != kImmediate && !waited) {
         waited = true;
-        t0 = rec_.wait_begin_ns();
+        cold = rec_.waiter_cold();
+        t0 = cold != nullptr ? qsv::platform::now_ns() : 0;
       }
       if (deadline_ns == kNoDeadline) {
         // Unbounded: the full policy applies (a parked waiter is woken
@@ -223,11 +235,10 @@ class QsvTimeoutMutex {
   /// Clock reads are ~20ns; amortize them over this many polls.
   static constexpr std::uint32_t kPollsPerClock = 64;
 
-  // QsvMutex's pair of lines: the lock word, its tallies and rec_'s
-  // registry-only fields on the first; rec_'s kind_ and cold_ and
-  // waiter_ on the second (qsvlint's layout audit pins both).
+  // QsvMutex's one 64-byte line: the lock word, its tallies, rec_ and
+  // waiter_ (qsvlint's layout audit pins the size).
 
-  alignas(qsv::platform::kFalseSharingRange) std::atomic<Node*> var_;
+  alignas(qsv::platform::kCacheLine) std::atomic<Node*> var_;
   /// Holder-owned tallies on var_'s line.
   [[no_unique_address]] qsv::obs::Tally tally_;
 

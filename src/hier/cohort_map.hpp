@@ -87,7 +87,7 @@ class TopologyCohortMap {
   /// the caller keeps an injected topology alive for the map's lifetime.
   explicit TopologyCohortMap(
       const qsv::platform::Topology& topo = qsv::platform::topology())
-      : topo_(&topo) {
+      : topo_(&topo), one_node_(topo.node_count() == 1) {
     if (topo.node_count() == 0) {
       detail::cohort_fatal("topology has no nodes");
     }
@@ -98,14 +98,18 @@ class TopologyCohortMap {
     }
   }
 
-  /// Cohort (= dense node index) of a dense thread index.
+  /// Cohort (= dense node index) of a dense thread index. A one-node
+  /// topology answers 0 without the placement and node lookups, which
+  /// are out of line and would otherwise run on every lock() and
+  /// unlock() of the cohort lock.
   std::size_t cohort_of(std::size_t thread_idx) const noexcept {
+    if (one_node_) return 0;
     return topo_->node_of_cpu(qsv::platform::cpu_for_index(thread_idx));
   }
 
   /// Cohort of the calling thread.
   std::size_t my_cohort() const noexcept {
-    return cohort_of(qsv::platform::thread_index());
+    return one_node_ ? 0 : cohort_of(qsv::platform::thread_index());
   }
 
   /// One cohort per node, regardless of thread count — node ids are
@@ -118,6 +122,7 @@ class TopologyCohortMap {
 
  private:
   const qsv::platform::Topology* topo_;
+  bool one_node_;  ///< decided once: every thread is in cohort 0
 };
 
 }  // namespace qsv::hier

@@ -30,19 +30,20 @@ class McsLock {
   ~McsLock() { rec_.retire(); }  // unregister before the tallies die
 
   void lock() {
-    Node* n = Arena::instance().acquire();
-    // relaxed: node init; the acq_rel exchange below publishes it.
-    n->next.store(nullptr, std::memory_order_relaxed);
-    n->granted.store(0, std::memory_order_relaxed);  // relaxed: as above
+    Node* n = fresh_node();
     // acq_rel: publish my node, observe predecessor's.
     Node* pred = tail_.exchange(n, std::memory_order_acq_rel);
+    // QsvMutex's rule: the release reads only its node (see Node).
+    n->policy = waiter_.policy();
     if (pred != nullptr) {
+      n->cold = rec_.waiter_cold();  // before the predecessor sees us
       // Link myself; predecessor's unlock will grant me. release pairs
       // with the unlock's acquire load of next.
       pred->next.store(n, std::memory_order_release);
-      const std::uint64_t t0 = rec_.wait_begin_ns();
+      const std::uint64_t t0 =
+          n->cold != nullptr ? qsv::platform::now_ns() : 0;
       waiter_.wait_while_equal(n->granted, 0u);
-      rec_.count_contended_acquire(t0);
+      if (n->cold != nullptr) n->cold->count_granted(t0);
     } else {
       tally_.count_acquire();  // on the line the exchange just took
     }
@@ -50,14 +51,12 @@ class McsLock {
   }
 
   bool try_lock() {
-    Node* n = Arena::instance().acquire();
-    // relaxed: node init; the acq_rel CAS below publishes it on success.
-    n->next.store(nullptr, std::memory_order_relaxed);
-    n->granted.store(0, std::memory_order_relaxed);  // relaxed: as above
+    Node* n = fresh_node();
     Node* expected = nullptr;
     // relaxed: failure order — a failed try_lock reads nothing.
     if (tail_.compare_exchange_strong(expected, n, std::memory_order_acq_rel,
                                       std::memory_order_relaxed)) {
+      n->policy = waiter_.policy();
       tally_.count_acquire();
       Held::local().insert(this, n);
       return true;
@@ -71,8 +70,7 @@ class McsLock {
     Node* n = e.node;
     Held::local().erase(e);
     // Only a granted (contended) acquisition stamped a hold start.
-    // relaxed: our own node; our acquire spin already saw the grant.
-    if (n->granted.load(std::memory_order_relaxed) != 0) rec_.note_release();
+    if (n->cold != nullptr) n->cold->close_hold();
     Node* next = n->next.load(std::memory_order_acquire);
     if (next == nullptr) {
       // No successor linked yet. If the tail is still me, the queue is
@@ -95,9 +93,8 @@ class McsLock {
         qsv::platform::cpu_relax();
       }
     }
-    rec_.count_handoff();
     next->granted.store(1, std::memory_order_release);
-    waiter_.notify_all(next->granted);
+    qsv::platform::RuntimeWait::notify_all(n->policy, next->granted);
     Arena::instance().release(n);
   }
 
@@ -124,18 +121,29 @@ class McsLock {
  private:
   friend struct qsv::platform::LayoutAuditAccess;
 
+  /// QsvMutex's node: the protocol's next and granted, plus what the
+  /// owner's release needs, so a handoff reads nothing of the lock.
   struct Node {
     std::atomic<Node*> next{nullptr};
     std::atomic<std::uint32_t> granted{0};
+    qsv::wait_policy policy = qsv::wait_policy::spin;
+    qsv::obs::ColdRec* cold = nullptr;  ///< contended acquisitions only
   };
   using Arena = qsv::platform::NodeArena<Node>;
   using Held = qsv::platform::HeldMap<Node>;
 
-  // QsvMutex's pair of lines: the tail, its tallies and rec_'s
-  // registry-only fields on the first; rec_'s kind_ and cold_ and
-  // waiter_ on the second (qsvlint's layout audit pins both).
-  alignas(qsv::platform::kFalseSharingRange)
-      std::atomic<Node*> tail_{nullptr};
+  static Node* fresh_node() {
+    Node* n = Arena::instance().acquire();
+    // relaxed: node init; the acq_rel RMW that enqueues it publishes it.
+    n->next.store(nullptr, std::memory_order_relaxed);
+    n->granted.store(0, std::memory_order_relaxed);  // relaxed: as above
+    n->cold = nullptr;
+    return n;
+  }
+
+  // QsvMutex's one 64-byte line: the tail, its tallies, rec_ and
+  // waiter_ (qsvlint's layout audit pins the size).
+  alignas(qsv::platform::kCacheLine) std::atomic<Node*> tail_{nullptr};
   /// Holder-owned tallies on tail_'s line.
   [[no_unique_address]] qsv::obs::Tally tally_;
   /// Per-instance telemetry registration (obs/hook.hpp).

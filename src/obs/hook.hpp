@@ -9,14 +9,14 @@
 //     releases. The lock's holder is their only writer, so they are
 //     bumped with a relaxed load and store right after the exchange or
 //     CAS that already owns that line — no extra line, no extra RMW;
-//   * a LockRec: the registry-only fields (reader, instance, per-kind
-//     sequence, intrusive list links), then the kind and the cold-block
-//     pointer, which the contended hooks read. Construction allocates
-//     nothing; the registry walks the intrusive list in registration
-//     order. QsvMutex, QsvTimeoutMutex and McsLock are one 128-byte
-//     pair of lines: the lock word, its Tally and the registry-only
-//     fields fill the first 64-byte line; kind_, cold_ and the
-//     RuntimeWait, everything a handoff reads, fill the second;
+//   * a LockRec: the kind (null while unregistered), the cold-block
+//     pointer and a 32-bit slot number. The registry-only half of the
+//     record (the tally reader, the instance, the per-kind sequence
+//     and the registration stamp) lives in that slot of the registry's
+//     table (registry.cpp), so construction allocates nothing and no
+//     other record's coming or going writes the instance. QsvMutex,
+//     QsvTimeoutMutex and McsLock are each one 64-byte line: the lock
+//     word, its Tally, the LockRec and the RuntimeWait;
 //   * a ColdRec on the heap, allocated when the first contended
 //     acquisition starts waiting and freed at unregistration: contended
 //     counts, handoffs, the wait EWMA and histogram, watermarks, the
@@ -35,18 +35,20 @@
 // in registry.cpp — so including it pulls in no registry machinery.
 //
 // Hot-path budget: no extra written line and no extra RMW per
-// uncontended event; stripes only for shared entry. QsvMutex and
-// McsLock learn from their own queue node whether a release must close
-// a contended hold, so their uncontended cycle touches only the lock
-// word's line, and their handoff reads only the second line, which
-// only construction writes (then the one-time cold-block install and
-// adaptive's wake-latency estimate). The registry's prev_/next_
-// rewrites, when a neighbouring record comes or goes, land on the lock
-// word's line: construction and destruction only, but a lock in use
-// while its neighbour churns pays a line transfer per rewrite
-// (DESIGN.md, "One observability spine"). The other protocols
-// call note_release() on every release, which reads cold_ on the
-// record's line.
+// uncontended event; stripes only for shared entry. With the whole
+// lock on one line, every arrival's exchange takes that line, so a
+// handoff must read nothing of it. The queue locks carry what a
+// handoff needs in their queue nodes instead: right after its exchange
+// an acquirer copies the wait policy into its own node, and a waiter
+// fetches the cold block into it before it links behind its
+// predecessor (LockRec::waiter_cold()). A release then reads only its
+// own node and writes the successor's grant, and the granted waiter
+// counts both its contended acquisition and the handoff that admitted
+// it in the cold block (ColdRec::count_granted()): in a queue lock
+// each handoff admits exactly one contended acquisition. QsvMutex and
+// McsLock (and QsvTimeoutMutex's release) work this way; the other
+// protocols call note_release() on every release, which reads cold_
+// on the record's line.
 // Clock reads, the cold block and every RMW of the layer sit on
 // contended paths, which already cost a cache-miss chain. The whole
 // layer compiles out under -DQSV_OBS=0 (CMake option QSV_OBS=OFF): the
@@ -66,10 +68,6 @@
 #ifndef QSV_OBS
 #define QSV_OBS 1
 #endif
-
-namespace qsv::platform {
-struct LayoutAuditAccess;  // platform/cache.hpp: the layout audit's view
-}  // namespace qsv::platform
 
 namespace qsv::obs {
 
@@ -104,6 +102,9 @@ struct HotCounts {
   std::uint64_t global_releases = 0;
 };
 
+/// Sums a primitive's in-object tallies; `instance` is the primitive.
+using TallyReader = void (*)(const void* instance, HotCounts& out) noexcept;
+
 /// The contended side of one instance's record. Allocated when the first
 /// contended acquisition starts waiting, freed when the instance
 /// unregisters. Counters are relaxed RMWs: contended paths already cost
@@ -111,7 +112,10 @@ struct HotCounts {
 struct ColdRec {
   std::atomic<std::uint64_t> contended{0};  ///< exclusive, waited
   std::atomic<std::uint64_t> contended_shared{0};
-  std::atomic<std::uint64_t> handoffs{0};
+  /// A queue lock's granted waiters: each is one contended acquisition
+  /// and the one handoff that admitted it, counted once (the only
+  /// handoffs the registry counts).
+  std::atomic<std::uint64_t> granted{0};
   std::atomic<std::uint64_t> local_passes{0};
   std::atomic<std::uint64_t> wait_ewma_ns{0};
   std::atomic<std::uint64_t> max_wait_ns{0};
@@ -142,6 +146,41 @@ struct ColdRec {
         static_cast<std::uint64_t>(static_cast<std::int64_t>(e) + step),
         std::memory_order_relaxed);  // relaxed: as above
     max_relaxed(max_wait_ns, wait_ns);
+  }
+
+  /// An exclusive acquisition that waited since `t0` now holds the
+  /// lock: feeds the wait statistics and stamps the hold start
+  /// (holder-owned: the same holder's close_hold() clears it).
+  void count_contended(std::uint64_t t0) noexcept { count_hold(contended, t0); }
+
+  /// A queue lock's waiter holds the lock after waiting since `t0`. A
+  /// queue lock admits each contended acquisition with exactly one
+  /// handoff, so the granted side counts the pair as one event and the
+  /// releaser touches no record. One tally, not two: a second counter
+  /// update on the granted side measurably slowed a contended handoff
+  /// (DESIGN.md, "One observability spine").
+  void count_granted(std::uint64_t t0) noexcept { count_hold(granted, t0); }
+
+  /// The holder of a contended acquisition releases: closes the hold
+  /// stamp into the hold watermark.
+  void close_hold() noexcept {
+    // relaxed: holder-owned stamp (see count_contended).
+    const std::uint64_t t = held_since_ns.load(std::memory_order_relaxed);
+    if (t != 0) {
+      max_relaxed(max_hold_ns, qsv::platform::now_ns() - t);
+      // relaxed: clearing our own stamp.
+      held_since_ns.store(0, std::memory_order_relaxed);
+    }
+  }
+
+  void count_hold(std::atomic<std::uint64_t>& tally,
+                  std::uint64_t t0) noexcept {
+    const std::uint64_t now = qsv::platform::now_ns();
+    tally.fetch_add(1, std::memory_order_relaxed);  // relaxed: tally
+    record_wait(now - t0);
+    // relaxed: holder-owned stamp; the lock's own handoff ordering
+    // carries it to the releasing (same) holder.
+    held_since_ns.store(now, std::memory_order_relaxed);
   }
 
   /// Racy-but-monotone watermark: a lost race can only lose a sample
@@ -225,25 +264,29 @@ namespace detail {
 /// Cold registration entry points, defined in obs/registry.cpp. The
 /// declarations live here so primitives (and trace/) never include
 /// registry machinery: this header is the whole surface.
-void registry_register(LockRec* rec) noexcept;
+/// registry_register() gives `rec` a slot holding `instance` and
+/// `read`, then sets its kind and slot number; when the registry's
+/// table cannot grow it leaves the record dark, as if constructed
+/// disabled.
+void registry_register(LockRec* rec, const char* kind, const void* instance,
+                       TallyReader read) noexcept;
 void registry_unregister(LockRec* rec) noexcept;
 struct RegistryAccess;
 }  // namespace detail
 
 /// One primitive instance's registration, embedded in the primitive
-/// (the header comment says on which line). The primitive enroll()s it
-/// at the end of its constructor — once every tally it reads is
-/// initialized — and retire()s it first thing in its destructor,
-/// before any member the Reader walks is destroyed: a registered
-/// record is read back through the Reader by every snapshot, so
-/// unregistering from ~LockRec (which runs after the members declared
-/// after it) would let a concurrent snapshot read destroyed tallies.
-/// get() is what the primitive's telemetry() returns: this record when
-/// registered, null when the instance was constructed disabled.
+/// (the header comment says where). The primitive enroll()s it at the
+/// end of its constructor — once every tally it reads is initialized —
+/// and retire()s it first thing in its destructor, before any member
+/// the Reader walks is destroyed: a registered record is read back
+/// through the Reader by every snapshot, so unregistering from
+/// ~LockRec (which runs after the members declared after it) would let
+/// a concurrent snapshot read destroyed tallies. get() is what the
+/// primitive's telemetry() returns: this record when registered, null
+/// when the instance was constructed disabled.
 class LockRec {
  public:
-  /// Sums a primitive's in-object tallies; `instance` is the primitive.
-  using Reader = void (*)(const void* instance, HotCounts& out) noexcept;
+  using Reader = TallyReader;
 
   LockRec() = default;
   LockRec(const LockRec&) = delete;
@@ -258,10 +301,7 @@ class LockRec {
   /// otherwise stay dark for the instance's whole life.
   void enroll(const char* kind, const void* instance, Reader read) noexcept {
     if (!enabled()) return;
-    kind_ = kind;
-    instance_ = instance;
-    read_ = read;
-    detail::registry_register(this);
+    detail::registry_register(this, kind, instance, read);
   }
 
   /// Unregister: once this returns no snapshot reads the instance's
@@ -289,20 +329,22 @@ class LockRec {
     return qsv::platform::now_ns();
   }
 
-  /// The waiter holds the lock after waiting since `t0`: feeds the
-  /// wait statistics and stamps the hold start (holder-owned: cleared
-  /// by the same holder's note_release()).
+  /// The waiter holds the lock after waiting since `t0`
+  /// (ColdRec::count_contended).
   void count_contended_acquire(std::uint64_t t0) noexcept {
     if (kind_ == nullptr) return;
-    const std::uint64_t now = qsv::platform::now_ns();
-    if (ColdRec* c = cold_or_alloc()) {
-      // relaxed: monotonic tally.
-      c->contended.fetch_add(1, std::memory_order_relaxed);
-      c->record_wait(now - t0);
-      // relaxed: holder-owned stamp; the lock's own handoff ordering
-      // carries it to the releasing (same) holder.
-      c->held_since_ns.store(now, std::memory_order_relaxed);
-    }
+    if (ColdRec* c = cold_or_alloc()) c->count_contended(t0);
+  }
+
+  /// A queue lock's waiter, right after the exchange that queued it,
+  /// while the lock's line is still in its cache: the cold block to
+  /// count into, or null when the record is dark. The waiter keeps it
+  /// in its own queue node, so neither its grant's bookkeeping
+  /// (ColdRec::count_granted) nor its release (ColdRec::close_hold)
+  /// reads this line again. The lock's first contention allocates the
+  /// block here, once per lock.
+  ColdRec* waiter_cold() noexcept {
+    return kind_ != nullptr ? cold_or_alloc() : nullptr;
   }
 
   /// A reader that had to park. Feeds the wait statistics but not the
@@ -315,14 +357,6 @@ class LockRec {
       // relaxed: monotonic tally.
       c->contended_shared.fetch_add(1, std::memory_order_relaxed);
       c->record_wait(now - t0);
-    }
-  }
-
-  /// Release that granted a queued waiter.
-  void count_handoff() noexcept {
-    if (kind_ == nullptr) return;
-    if (ColdRec* c = cold_or_alloc()) {
-      c->handoffs.fetch_add(1, std::memory_order_relaxed);  // relaxed: tally
     }
   }
 
@@ -342,31 +376,24 @@ class LockRec {
     // Only a registered record ever gets a cold block, so this one load
     // is the whole check. acquire: pairs with the installing CAS in
     // cold_or_alloc().
-    ColdRec* c = cold_.load(std::memory_order_acquire);
-    if (c == nullptr) return;
-    // relaxed: holder-owned stamp (see count_contended_acquire).
-    const std::uint64_t t = c->held_since_ns.load(std::memory_order_relaxed);
-    if (t != 0) {
-      ColdRec::max_relaxed(c->max_hold_ns, qsv::platform::now_ns() - t);
-      // relaxed: clearing our own stamp.
-      c->held_since_ns.store(0, std::memory_order_relaxed);
-    }
+    if (ColdRec* c = cold_.load(std::memory_order_acquire)) c->close_hold();
   }
 
   // ------------------------------------------------- cold snapshots
 
   std::uint64_t acquisitions() const noexcept {
-    return hot().acquisitions + cold_word(&ColdRec::contended);
+    return hot().acquisitions + cold_word(&ColdRec::contended) +
+           cold_word(&ColdRec::granted);
   }
   std::uint64_t shared_acquisitions() const noexcept {
     return hot().shared + cold_word(&ColdRec::contended_shared);
   }
   std::uint64_t contended() const noexcept {
-    return cold_word(&ColdRec::contended) +
+    return cold_word(&ColdRec::contended) + cold_word(&ColdRec::granted) +
            cold_word(&ColdRec::contended_shared);
   }
   std::uint64_t handoffs() const noexcept {
-    return cold_word(&ColdRec::handoffs);
+    return cold_word(&ColdRec::granted);
   }
   std::uint64_t free_releases() const noexcept { return hot().free_releases; }
   std::uint64_t local_passes() const noexcept {
@@ -423,18 +450,17 @@ class LockRec {
   }
 
   const char* kind() const noexcept { return kind_; }
-  const void* instance() const noexcept { return instance_; }
-
+  /// The registered primitive (null when dark). Read from the
+  /// registry's table, like hot(); both are defined in registry.cpp.
+  const void* instance() const noexcept;
   /// The primitive's in-object tallies, summed.
-  HotCounts hot() const noexcept {
-    HotCounts h;
-    if (read_ != nullptr) read_(instance_, h);
-    return h;
-  }
+  HotCounts hot() const noexcept;
+  /// This record's slot in the registry's table: fixed while it is
+  /// registered, handed to a later record once it retires.
+  std::uint32_t slot() const noexcept { return slot_; }
 
  private:
   friend struct detail::RegistryAccess;
-  friend struct qsv::platform::LayoutAuditAccess;
 
   std::uint64_t cold_word(
       std::atomic<std::uint64_t> ColdRec::*w) const noexcept {
@@ -453,19 +479,13 @@ class LockRec {
   }
   ColdRec* install_cold() noexcept;  // registry.cpp (out of line: cold)
 
-  // Registry-only fields first: written at registration and when a
-  // neighbouring record comes or goes, read by snapshots. An owner that
-  // places the record right after its lock word's tallies fills the
-  // rest of that 64-byte line with them.
-  Reader read_ = nullptr;
-  const void* instance_ = nullptr;
-  std::uint64_t seq_ = 0;  ///< per-kind registration number ("kind#seq")
-  LockRec* prev_ = nullptr;  ///< registry list, under the registry mutex
-  LockRec* next_ = nullptr;
-  // What the contended hooks read, last: they start the owner's second
-  // line, beside its wait policy.
-  const char* kind_ = nullptr;  ///< null: never registered
+  /// Null while unregistered: the contended hooks' whole check. Written
+  /// only under the registry mutex, at registration and retirement.
+  const char* kind_ = nullptr;
   std::atomic<ColdRec*> cold_{nullptr};
+  /// Where the registry keeps the rest of the record (the reader, the
+  /// instance, the per-kind sequence and the registration stamp).
+  std::uint32_t slot_ = 0;
 };
 
 /// Reader for primitives whose tallies are one member (`&P::tally_`).
@@ -497,7 +517,7 @@ class CohortTally : public Tally {
 /// record still compiles.
 class LockRec {
  public:
-  using Reader = void (*)(const void*, HotCounts&) noexcept;
+  using Reader = TallyReader;
   constexpr LockRec() noexcept = default;
   LockRec(const LockRec&) = delete;
   LockRec& operator=(const LockRec&) = delete;
@@ -506,9 +526,9 @@ class LockRec {
   constexpr void retire() noexcept {}
   static constexpr const LockRec* get() noexcept { return nullptr; }
   static constexpr std::uint64_t wait_begin_ns() noexcept { return 0; }
+  static constexpr ColdRec* waiter_cold() noexcept { return nullptr; }
   constexpr void count_contended_acquire(std::uint64_t) noexcept {}
   constexpr void count_contended_shared(std::uint64_t) noexcept {}
-  constexpr void count_handoff() noexcept {}
   constexpr void count_local_pass() noexcept {}
   constexpr void note_release() noexcept {}
 
@@ -529,6 +549,7 @@ class LockRec {
   const char* kind() const noexcept { return nullptr; }
   const void* instance() const noexcept { return nullptr; }
   HotCounts hot() const noexcept { return {}; }
+  std::uint32_t slot() const noexcept { return 0; }
 };
 
 template <auto>

@@ -1,10 +1,14 @@
-// registry.cpp — telemetry registry: the intrusive record list,
-// snapshots, naming, hazard log.
+// registry.cpp — telemetry registry: the slot table that holds each
+// record's registry-only half, snapshots, naming, hazard log.
 #include "obs/registry.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <new>
 
@@ -21,13 +25,124 @@ struct KindSeq {
 };
 constexpr std::size_t kKinds = 64;
 
+/// The registry-only half of a record: what snapshots and naming need
+/// and the lock itself never reads.
+struct Slot {
+  LockRec* rec = nullptr;  ///< null while free
+  TallyReader read = nullptr;
+  const void* instance = nullptr;
+  /// Registration order, which snapshots sort by; while the slot is
+  /// free, the number of the next free slot.
+  std::uint64_t stamp = 0;
+  std::uint64_t seq = 0;  ///< per-kind registration number ("kind#seq")
+};
+
+/// The registry's slots, numbered densely. Slot i lives in chunk
+/// c = bit_width(i / kFirst + 1) - 1, which holds kFirst << c slots:
+/// chunks double, so kChunks of them cover every 32-bit slot number.
+/// Chunks are never moved or freed, so a record reads its own slot
+/// without the registry mutex (LockRec::hot()). A chunk is allocated
+/// when its first slot is needed, and its slots are written in runs
+/// before any is handed out, so the table's pages are faulted together
+/// rather than one at a time between the pages of the instances being
+/// built. A chunk's runs double from kFirst slots (20 KiB) up to
+/// kMaxRun bytes, so the written but unused tail stays below both
+/// kMaxRun and what the chunk already holds. Retired slots are reused,
+/// newest first. Every mutator runs under the registry mutex.
+class SlotTable {
+ public:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  Slot& at(std::uint32_t i) const noexcept {
+    const int c = static_cast<int>(std::bit_width(i / kFirst + 1)) - 1;
+    return chunks_[c][i - kFirst * ((std::uint32_t{1} << c) - 1)];
+  }
+
+  /// A slot for a new record: the newest retired one, else a fresh one.
+  /// kNone when the table cannot grow.
+  std::uint32_t take() noexcept {
+    if (free_ != kNone) {
+      const std::uint32_t i = free_;
+      free_ = static_cast<std::uint32_t>(at(i).stamp);
+      return i;
+    }
+    if (fresh_ == written_ && !write_run()) return kNone;
+    return fresh_++;
+  }
+
+  void give_back(std::uint32_t i) noexcept {
+    Slot& s = at(i);
+    s.rec = nullptr;
+    s.stamp = free_;
+    free_ = i;
+  }
+
+  /// Every live slot, in registration order.
+  std::vector<const Slot*> live() const {
+    std::vector<const Slot*> out;
+    for (std::uint32_t i = 0; i < fresh_; ++i) {
+      if (at(i).rec != nullptr) out.push_back(&at(i));
+    }
+    std::sort(out.begin(), out.end(), [](const Slot* a, const Slot* b) {
+      return a->stamp < b->stamp;
+    });
+    return out;
+  }
+
+  /// The earliest-registered live slot satisfying `match`, or null.
+  template <typename Match>
+  const Slot* first(Match match) const {
+    const Slot* best = nullptr;
+    for (std::uint32_t i = 0; i < fresh_; ++i) {
+      const Slot& e = at(i);
+      if (e.rec != nullptr && (best == nullptr || e.stamp < best->stamp) &&
+          match(e)) {
+        best = &e;
+      }
+    }
+    return best;
+  }
+
+ private:
+  static constexpr std::uint32_t kFirst = 512;  ///< slots in chunk 0
+  static constexpr int kChunks = 23;
+  static constexpr std::size_t kMaxRun = std::size_t{1} << 20;
+
+  /// Write the next run of fresh slots, allocating its chunk when the
+  /// run starts one.
+  bool write_run() noexcept {
+    const int c = static_cast<int>(std::bit_width(written_ / kFirst + 1)) - 1;
+    if (c >= kChunks) return false;
+    const std::uint32_t base = kFirst * ((std::uint32_t{1} << c) - 1);
+    const std::uint32_t size = kFirst << c;
+    if (written_ == base) {
+      // malloc, not operator new: a lock's construction makes no
+      // operator-new call, even when it is the one that grows the table.
+      void* mem = std::malloc(std::size_t{size} * sizeof(Slot));
+      if (mem == nullptr) return false;
+      chunks_[c] = static_cast<Slot*>(mem);
+    }
+    const std::uint32_t run = std::max(kFirst, written_ - base);
+    const std::uint32_t n = std::min<std::uint32_t>(
+        {base + size - written_, run, kMaxRun / sizeof(Slot)});
+    std::uninitialized_value_construct_n(&at(written_), n);
+    written_ += n;
+    return true;
+  }
+
+  Slot* chunks_[kChunks] = {};
+  std::uint32_t fresh_ = 0;    ///< slots ever handed out: [0, fresh_)
+  std::uint32_t written_ = 0;  ///< slots written: [0, written_)
+  std::uint32_t free_ = kNone;  ///< newest retired slot
+};
+
 /// Registry state behind one mutex: registration/unregistration and
 /// snapshots are cold (construction, destruction, introspection); the
 /// hot path never comes here — it counts into the primitive itself.
 struct State {
   std::mutex mu;
-  LockRec* head = nullptr;  ///< oldest registration
-  LockRec* tail = nullptr;  ///< newest registration
+  SlotTable slots;
+  std::uint64_t next_stamp = 0;
   std::size_t live = 0;
   KindSeq kinds[kKinds];
   std::uint64_t overflow_seq = 0;  ///< kinds past the table share this
@@ -59,14 +174,10 @@ std::string list_line(const LockStats& st) {
 
 namespace detail {
 
-/// The registry's view of a LockRec's list fields.
+/// The registry's view of a LockRec's in-object fields.
 struct RegistryAccess {
-  static std::uint64_t& seq(LockRec& r) { return r.seq_; }
-  static std::uint64_t seq(const LockRec& r) { return r.seq_; }
-  static LockRec*& prev(LockRec& r) { return r.prev_; }
-  static LockRec*& next(LockRec& r) { return r.next_; }
-  static const LockRec* next(const LockRec& r) { return r.next_; }
   static const char*& kind(LockRec& r) { return r.kind_; }
+  static std::uint32_t& slot(LockRec& r) { return r.slot_; }
   static ColdRec* cold_or_alloc(LockRec& r) { return r.cold_or_alloc(); }
 };
 
@@ -87,16 +198,17 @@ std::uint64_t next_seq_locked(State& s, const char* kind) {
   return s.overflow_seq++;
 }
 
-std::string name_of(const LockRec& r) {
-  const ColdRec* c = r.cold();
+std::string name_of(const Slot& e) {
+  const ColdRec* c = e.rec->cold();
   if (c != nullptr && !c->name.empty()) return c->name;
-  return std::string(r.kind()) + "#" + std::to_string(Access::seq(r));
+  return std::string(e.rec->kind()) + "#" + std::to_string(e.seq);
 }
 
-void fill_stats(const LockRec& r, LockStats& out) {
-  out.name = name_of(r);
+void fill_stats(const Slot& e, LockStats& out) {
+  const LockRec& r = *e.rec;
+  out.name = name_of(e);
   out.kind = r.kind();
-  out.instance = r.instance();
+  out.instance = e.instance;
   out.acquisitions = r.acquisitions();
   out.contended = r.contended();
   out.shared_acquisitions = r.shared_acquisitions();
@@ -128,33 +240,41 @@ void fill_stats(const LockRec& r, LockStats& out) {
 
 namespace detail {
 
-void registry_register(LockRec* rec) noexcept {
+void registry_register(LockRec* rec, const char* kind, const void* instance,
+                       TallyReader read) noexcept {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
-  Access::seq(*rec) = next_seq_locked(s, rec->kind());
-  Access::prev(*rec) = s.tail;
-  Access::next(*rec) = nullptr;
-  if (s.tail != nullptr) {
-    Access::next(*s.tail) = rec;
-  } else {
-    s.head = rec;
-  }
-  s.tail = rec;
+  const std::uint32_t i = s.slots.take();
+  if (i == SlotTable::kNone) return;  // the record stays dark
+  s.slots.at(i) = Slot{rec, read, instance, s.next_stamp++,
+                       next_seq_locked(s, kind)};
+  Access::kind(*rec) = kind;
+  Access::slot(*rec) = i;
   ++s.live;
 }
 
 void registry_unregister(LockRec* rec) noexcept {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
-  LockRec* prev = Access::prev(*rec);
-  LockRec* next = Access::next(*rec);
-  (prev != nullptr ? Access::next(*prev) : s.head) = next;
-  (next != nullptr ? Access::prev(*next) : s.tail) = prev;
+  s.slots.give_back(rec->slot());
   Access::kind(*rec) = nullptr;  // retired: get() is null from here on
   --s.live;
 }
 
 }  // namespace detail
+
+const void* LockRec::instance() const noexcept {
+  return kind_ != nullptr ? state().slots.at(slot_).instance : nullptr;
+}
+
+HotCounts LockRec::hot() const noexcept {
+  HotCounts h;
+  if (kind_ != nullptr) {
+    const Slot& e = state().slots.at(slot_);
+    e.read(e.instance, h);
+  }
+  return h;
+}
 
 ColdRec* LockRec::install_cold() noexcept {
   auto* fresh = new (std::nothrow) ColdRec();
@@ -173,39 +293,31 @@ ColdRec* LockRec::install_cold() noexcept {
 std::vector<LockStats> snapshot() {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
-  std::vector<LockStats> out;
-  out.reserve(s.live);
-  for (const LockRec* r = s.head; r != nullptr; r = Access::next(*r)) {
-    LockStats st;
-    fill_stats(*r, st);
-    out.push_back(std::move(st));
-  }
+  const std::vector<const Slot*> live = s.slots.live();
+  std::vector<LockStats> out(live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) fill_stats(*live[i], out[i]);
   return out;
 }
 
 bool stat_by_name(std::string_view name, LockStats& out) {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
-  for (const LockRec* r = s.head; r != nullptr; r = Access::next(*r)) {
-    if (name_of(*r) == name) {
-      fill_stats(*r, out);
-      return true;
-    }
-  }
-  return false;
+  const Slot* e =
+      s.slots.first([name](const Slot& x) { return name_of(x) == name; });
+  if (e == nullptr) return false;
+  fill_stats(*e, out);
+  return true;
 }
 
 void set_name(const void* instance, std::string_view name) {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
-  for (LockRec* r = s.head; r != nullptr; r = Access::next(*r)) {
-    if (r->instance() == instance) {
-      // A named record carries its name in the cold block, so naming
-      // allocates it; the name is read and written only under s.mu.
-      if (ColdRec* c = Access::cold_or_alloc(*r)) c->name = std::string(name);
-      return;
-    }
-  }
+  const Slot* e = s.slots.first(
+      [instance](const Slot& x) { return x.instance == instance; });
+  if (e == nullptr) return;
+  // A named record carries its name in the cold block, so naming
+  // allocates it; the name is read and written only under s.mu.
+  if (ColdRec* c = Access::cold_or_alloc(*e->rec)) c->name = std::string(name);
 }
 
 std::size_t size() {

@@ -141,14 +141,21 @@ class RuntimeWait {
   /// for good. Only the parking policies pay for the fence.
   template <typename T>
   void notify_one(std::atomic<T>& flag) noexcept {
-    if (may_park()) {
+    if (may_park(policy_)) {
       store_load_fence();
       flag.notify_one();
     }
   }
   template <typename T>
   void notify_all(std::atomic<T>& flag) noexcept {
-    if (may_park()) {
+    notify_all(policy_, flag);
+  }
+  /// The same wake for a releaser that carries its instance's policy
+  /// in its own queue node, so a handoff reads nothing of the instance.
+  template <typename T>
+  static void notify_all(qsv::wait_policy policy,
+                         std::atomic<T>& flag) noexcept {
+    if (may_park(policy)) {
       store_load_fence();
       flag.notify_all();
     }
@@ -157,9 +164,8 @@ class RuntimeWait {
   const char* name() const noexcept { return qsv::wait_policy_name(policy_); }
 
  private:
-  bool may_park() const noexcept {
-    return policy_ == qsv::wait_policy::park ||
-           policy_ == qsv::wait_policy::adaptive;
+  static bool may_park(qsv::wait_policy p) noexcept {
+    return p == qsv::wait_policy::park || p == qsv::wait_policy::adaptive;
   }
 
   /// Everything past the inlined spin fast path: spin the budget
@@ -176,7 +182,7 @@ class RuntimeWait {
       cpu_relax();
     }
     if (calibrate) record(kParkSamplePolls);
-    if (!may_park()) {
+    if (!may_park(policy_)) {
       while (!done()) thread_yield();
       return;
     }

@@ -9,8 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -280,6 +282,62 @@ TEST(ObsRecord, ExactCountsUnderContention) {
     if (st.instance == static_cast<const void*>(&m)) ++listed;
   }
   EXPECT_EQ(listed, 1u);
+}
+
+TEST(ObsRecord, NeighbourChurnLeavesALiveLockUntouched) {
+  // The registry keeps its own fields (registration order, the tally
+  // reader, the instance, the sequence) in its slot table, not in the
+  // instance, so building and destroying the records beside a live
+  // lock writes none of its bytes. m is the newest record: every
+  // neighbour registers right after it.
+  qsv::mutex m(qsv::wait_policy::spin);
+  if (m.telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
+  ASSERT_EQ(qo::snapshot().back().instance, static_cast<const void*>(&m));
+  constexpr std::size_t kLine = 64;
+  static_assert(sizeof(qsv::mutex) >= kLine);
+  unsigned char before[kLine];
+  std::memcpy(before, &m, kLine);
+  for (int i = 0; i < 1000; ++i) {
+    qsv::mutex neighbour;
+    ASSERT_EQ(std::memcmp(&m, before, kLine), 0) << "neighbour " << i;
+  }
+}
+
+TEST(ObsRegistry, ReusedSlotKeepsRegistrationOrderAndNames) {
+  // A retired record's slot goes to the next registration. Snapshots
+  // still list records in registration order, and names and lookups
+  // follow the record, not the slot.
+  std::optional<qsv::mutex> a, b, c, d;
+  a.emplace();
+  if (a->telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
+  b.emplace();
+  c.emplace();
+  const std::uint32_t b_slot = b->telemetry()->slot();
+  b.reset();
+  d.emplace();
+  ASSERT_EQ(d->telemetry()->slot(), b_slot);
+
+  std::vector<qo::LockStats> seen;
+  for (const qo::LockStats& st : qo::snapshot()) {
+    if (st.instance == &*a || st.instance == &*c || st.instance == &*d) {
+      seen.push_back(st);
+    }
+  }
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].instance, static_cast<const void*>(&*a));
+  EXPECT_EQ(seen[1].instance, static_cast<const void*>(&*c));
+  EXPECT_EQ(seen[2].instance, static_cast<const void*>(&*d));
+  for (const qo::LockStats& st : seen) {
+    EXPECT_EQ(st.name.rfind("qsv#", 0), 0u) << st.name;
+  }
+  EXPECT_NE(seen[0].name, seen[1].name);
+  EXPECT_NE(seen[0].name, seen[2].name);
+  EXPECT_NE(seen[1].name, seen[2].name);
+
+  qo::set_name(&*d, "reused-slot-for-test");
+  qo::LockStats st;
+  ASSERT_TRUE(qo::stat_by_name("reused-slot-for-test", st));
+  EXPECT_EQ(st.instance, static_cast<const void*>(&*d));
 }
 
 TEST(ObsRecord, NoColdBlockBeforeFirstContendedAcquisition) {

@@ -230,6 +230,17 @@ TEST(TopologyCohortMap, OneCohortPerNodeViaRoundRobinPlacement) {
   }
 }
 
+TEST(TopologyCohortMap, OneNodeTopologyIsOneCohort) {
+  FixtureSysfs fx("topo_one_node");
+  fx.add_node(0, "0-3");
+  const auto topo = qp::discover_topology(fx.root());
+  ASSERT_EQ(topo.node_count(), 1u);
+  qh::TopologyCohortMap map(topo);
+  EXPECT_EQ(map.cohort_count(qp::kMaxThreads), 1u);
+  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(map.cohort_of(i), 0u);
+  EXPECT_EQ(map.my_cohort(), 0u);
+}
+
 TEST(TopologyCohortMap, DefaultsToTheProcessTopology) {
   qh::TopologyCohortMap map;
   EXPECT_EQ(&map.topology(), &qp::topology());

@@ -23,36 +23,16 @@ namespace qsvlint {
 
 namespace {
 
-/// The pair-of-lines layout QsvMutex, QsvTimeoutMutex and McsLock
-/// share: one 128-byte object whose lock word `word` and Tally sit on
-/// one 64-byte line, and whose RuntimeWait and LockRec::kind_/cold_ —
-/// everything a handoff reads — sit on the other. Only meaningful with
-/// telemetry compiled in: under QSV_OBS=0 the records are empty.
-LayoutEntry two_line_pair(const std::string& header, const std::string& type,
-                          const std::string& word) {
-  const std::string line = " / qsv::platform::kCacheLine";
-  const std::string word_line = "offsetof(" + type + ", " + word + ")" + line;
-  const std::string wait = "offsetof(" + type + ", waiter_)";
-  const std::string wait_line = wait + line;
-  auto rec_field = [&](const std::string& f) {
-    return "offsetof(" + type + ", rec_) + offsetof(qsv::obs::LockRec, " +
-           f + ")";
-  };
-  auto on_wait_line = [&](const std::string& begin, const std::string& size) {
-    return "(" + begin + ")" + line + " == " + wait_line + " && (" + begin +
-           " + " + size + " - 1)" + line + " == " + wait_line;
-  };
+/// The one-line layout QsvMutex, QsvTimeoutMutex and McsLock share:
+/// one 64-byte, 64-byte-aligned object holding the lock word, its
+/// Tally, the LockRec and the RuntimeWait (obs/hook.hpp). Unguarded,
+/// so it holds under both QSV_OBS arms.
+LayoutEntry one_line(const std::string& header, const std::string& type) {
   return {header,
           type,
-          {word_line + " == (offsetof(" + type +
-               ", tally_) + sizeof(qsv::obs::Tally) - 1)" + line,
-           wait_line + " != " + word_line,
-           "(" + wait + " + sizeof(qsv::platform::RuntimeWait) - 1)" + line +
-               " == " + wait_line,
-           on_wait_line(rec_field("kind_"), "sizeof(const char*)"),
-           on_wait_line(rec_field("cold_"),
-                        "sizeof(std::atomic<qsv::obs::ColdRec*>)")},
-          "QSV_OBS"};
+          {"std::is_standard_layout_v<" + type + ">",
+           "sizeof(" + type + ") == qsv::platform::kCacheLine",
+           "alignof(" + type + ") == qsv::platform::kCacheLine"}};
 }
 
 }  // namespace
@@ -85,34 +65,26 @@ const std::vector<LayoutEntry>& layout_entries() {
         "qsv::platform::kFalseSharingRange",
         "alignof(qsv::platform::Padded<qsv::locks::ClhLock::Node>) == "
         "qsv::platform::kFalseSharingRange"}},
-      // The queue locks are one 128-byte pair of lines (obs/hook.hpp):
-      // the uncontended cycle touches only the lock word's line, a
-      // handoff reads only the other. A reorder that moves a field
-      // across the boundary fails here.
-      {"src/core/qsv_mutex.hpp", "qsv::core::QsvMutex",
-       {"std::is_standard_layout_v<qsv::core::QsvMutex>",
-        "alignof(qsv::core::QsvMutex) == "
-        "qsv::platform::kFalseSharingRange"}},
-      two_line_pair("src/core/qsv_mutex.hpp", "qsv::core::QsvMutex", "var_"),
-      {"src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex",
-       {"std::is_standard_layout_v<qsv::core::QsvTimeoutMutex>",
-        "alignof(qsv::core::QsvTimeoutMutex) == "
-        "qsv::platform::kFalseSharingRange"}},
-      two_line_pair("src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex",
-                    "var_"),
-      {"src/locks/mcs.hpp", "qsv::locks::McsLock",
-       {"std::is_standard_layout_v<qsv::locks::McsLock>",
-        "alignof(qsv::locks::McsLock) == qsv::platform::kFalseSharingRange",
-        "sizeof(qsv::locks::McsLock) == 128"}},
-      two_line_pair("src/locks/mcs.hpp", "qsv::locks::McsLock", "tail_"),
+      // The queue locks are one 64-byte line each (obs/hook.hpp). A
+      // handoff reads none of it, so nothing here pins field offsets;
+      // the LockRec bound keeps the registry's fields (list links, the
+      // reader, the instance) from creeping back into the instance.
+      one_line("src/core/qsv_mutex.hpp", "qsv::core::QsvMutex"),
+      one_line("src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex"),
+      one_line("src/locks/mcs.hpp", "qsv::locks::McsLock"),
+      {"src/obs/hook.hpp",
+       "qsv::obs::LockRec",
+       {"sizeof(qsv::obs::LockRec) <= 24"},
+       "QSV_OBS"},
       // The futex mutex's RuntimeWait shares its state word's line.
       {"src/locks/futex.hpp", "qsv::locks::FutexMutex",
        {"sizeof(qsv::locks::FutexMutex) == "
         "qsv::platform::kFalseSharingRange"}},
-      // Telemetry and the wait policy live inside the lock's one pair
-      // of lines without growing it.
+      // Telemetry and the wait policy live inside the lock's one line
+      // without growing it.
       {"include/qsv/mutex.hpp", "qsv::mutex",
-       {"sizeof(qsv::mutex) == 128", "sizeof(qsv::timed_mutex) == 128"}},
+       {"sizeof(qsv::mutex) == qsv::platform::kCacheLine",
+        "sizeof(qsv::timed_mutex) == qsv::platform::kCacheLine"}},
       {"src/combining/fc_executor.hpp",
        "qsv::combining::FcExecutor<>::Record",
        {"sizeof(qsv::platform::Padded<qsv::combining::FcExecutor<>::Record>)"
