@@ -5,9 +5,10 @@
 // free (0), held (1) or held with waiters (2). A contended locker
 // announces itself by moving the word to 2 and sleeps until it changes;
 // the releaser wakes one sleeper only when it found the word at 2. The
-// sleep is platform::RuntimeWait's park policy (std::atomic::wait past
-// the process spin budget), the same terminal wait every queue-based
-// primitive uses.
+// sleep is platform::RuntimeWait's park policy (std::atomic::wait), the
+// same terminal wait every queue-based primitive uses, after a single
+// poll: like the classic futex mutex it does not spin on the one word
+// every waiter watches.
 #pragma once
 
 #include <atomic>
@@ -22,7 +23,7 @@ namespace qsv::locks {
 /// One CAS on the fast path, one exchange + at most one wake on release.
 class FutexMutex {
  public:
-  FutexMutex() = default;
+  FutexMutex() { waiter_.set_spin_budget(kSpinPolls); }
   FutexMutex(const FutexMutex&) = delete;
   FutexMutex& operator=(const FutexMutex&) = delete;
 
@@ -87,6 +88,9 @@ class FutexMutex {
  private:
   alignas(qsv::platform::kFalseSharingRange)
       std::atomic<std::uint32_t> state_{0};
+  /// Polls before a waiter sleeps: a constant, so QSV_WAIT's spin
+  /// budget does not reach a row that advertises no wait mode.
+  static constexpr std::uint32_t kSpinPolls = 1;
   /// Always parks: the row takes no policy, so it advertises no wait
   /// mode. 12 bytes on state_'s line.
   qsv::platform::RuntimeWait waiter_{qsv::wait_policy::park};

@@ -9,14 +9,17 @@
 //     releases. The lock's holder is their only writer, so they are
 //     bumped with a relaxed load and store right after the exchange or
 //     CAS that already owns that line — no extra line, no extra RMW;
-//   * a LockRec: the kind (null while unregistered), the cold-block
-//     pointer and a 32-bit slot number. The registry-only half of the
-//     record (the tally reader, the instance, the per-kind sequence
-//     and the registration stamp) lives in that slot of the registry's
-//     table (registry.cpp), so construction allocates nothing and no
-//     other record's coming or going writes the instance. QsvMutex,
-//     QsvTimeoutMutex and McsLock are each one 64-byte line: the lock
-//     word, its Tally, the LockRec and the RuntimeWait;
+//   * a LockRec: the cold-block pointer, the registration number, a
+//     32-bit slot number and a 32-bit kind index (0 while
+//     unregistered). The registry (registry.cpp) keeps one pointer to
+//     the record, in the slot its number names, and what every
+//     instance of a type shares (the kind name, the tally reader and
+//     where the LockRec sits inside the instance) once per type, in the
+//     kind-table entry its index names. So construction allocates
+//     nothing and no other record's coming or going writes the
+//     instance. QsvMutex, QsvTimeoutMutex and McsLock are each one
+//     64-byte line: the lock word, its Tally, the LockRec and the
+//     RuntimeWait;
 //   * a ColdRec on the heap, allocated when the first contended
 //     acquisition starts waiting and freed at unregistration: contended
 //     counts, handoffs, the wait EWMA and histogram, watermarks, the
@@ -126,8 +129,9 @@ struct ColdRec {
   /// bucketing, atomic buckets because waiters record concurrently).
   std::atomic<std::uint64_t>
       wait_hist[qsv::platform::LogHistogram::kBuckets]{};
-  /// Display name from set_name(); empty means "kind#seq". Written and
-  /// read only under the registry mutex.
+  /// Display name from set_name(); empty means "kind#N", N the
+  /// registration number. Written and read only under the registry
+  /// mutex.
   std::string name;
 
   void record_wait(std::uint64_t wait_ns) noexcept {
@@ -264,10 +268,10 @@ namespace detail {
 /// Cold registration entry points, defined in obs/registry.cpp. The
 /// declarations live here so primitives (and trace/) never include
 /// registry machinery: this header is the whole surface.
-/// registry_register() gives `rec` a slot holding `instance` and
-/// `read`, then sets its kind and slot number; when the registry's
-/// table cannot grow it leaves the record dark, as if constructed
-/// disabled.
+/// registry_register() files `rec` under the kind (kind, read, where
+/// `rec` sits inside `instance`) and in a slot of its own, then sets
+/// its registration number, slot and kind; when the registry's tables
+/// cannot grow it leaves the record dark, as if constructed disabled.
 void registry_register(LockRec* rec, const char* kind, const void* instance,
                        TallyReader read) noexcept;
 void registry_unregister(LockRec* rec) noexcept;
@@ -307,14 +311,12 @@ class LockRec {
   /// Unregister: once this returns no snapshot reads the instance's
   /// tallies. Call it at the top of the primitive's destructor.
   void retire() noexcept {
-    if (kind_ == nullptr) return;
+    if (kind_ == 0) return;
     detail::registry_unregister(this);  // clears kind_ under the mutex
   }
 
   /// This record when registered, else null.
-  const LockRec* get() const noexcept {
-    return kind_ != nullptr ? this : nullptr;
-  }
+  const LockRec* get() const noexcept { return kind_ != 0 ? this : nullptr; }
 
   // ------------------------------------------------ contended hooks
 
@@ -324,7 +326,7 @@ class LockRec {
   /// first contention allocates the cold block here, so the allocation
   /// overlaps the wait instead of lengthening a critical section.
   std::uint64_t wait_begin_ns() noexcept {
-    if (kind_ == nullptr) return 0;
+    if (kind_ == 0) return 0;
     cold_or_alloc();
     return qsv::platform::now_ns();
   }
@@ -332,7 +334,7 @@ class LockRec {
   /// The waiter holds the lock after waiting since `t0`
   /// (ColdRec::count_contended).
   void count_contended_acquire(std::uint64_t t0) noexcept {
-    if (kind_ == nullptr) return;
+    if (kind_ == 0) return;
     if (ColdRec* c = cold_or_alloc()) c->count_contended(t0);
   }
 
@@ -344,14 +346,14 @@ class LockRec {
   /// reads this line again. The lock's first contention allocates the
   /// block here, once per lock.
   ColdRec* waiter_cold() noexcept {
-    return kind_ != nullptr ? cold_or_alloc() : nullptr;
+    return kind_ != 0 ? cold_or_alloc() : nullptr;
   }
 
   /// A reader that had to park. Feeds the wait statistics but not the
   /// hold stamp — shared holds overlap and one word cannot speak for a
   /// batch.
   void count_contended_shared(std::uint64_t t0) noexcept {
-    if (kind_ == nullptr) return;
+    if (kind_ == 0) return;
     const std::uint64_t now = qsv::platform::now_ns();
     if (ColdRec* c = cold_or_alloc()) {
       // relaxed: monotonic tally.
@@ -362,7 +364,7 @@ class LockRec {
 
   /// Intra-cohort handoff: local and global lock passed together.
   void count_local_pass() noexcept {
-    if (kind_ == nullptr) return;
+    if (kind_ == 0) return;
     if (ColdRec* c = cold_or_alloc()) {
       // relaxed: tally
       c->local_passes.fetch_add(1, std::memory_order_relaxed);
@@ -449,11 +451,12 @@ class LockRec {
     return cold_.load(std::memory_order_acquire);
   }
 
-  const char* kind() const noexcept { return kind_; }
-  /// The registered primitive (null when dark). Read from the
-  /// registry's table, like hot(); both are defined in registry.cpp.
+  /// The primitive's name() (null when dark), the registered primitive
+  /// (null when dark) and its in-object tallies, summed. All three read
+  /// the record's entry in the registry's kind table; they are defined
+  /// in registry.cpp.
+  const char* kind() const noexcept;
   const void* instance() const noexcept;
-  /// The primitive's in-object tallies, summed.
   HotCounts hot() const noexcept;
   /// This record's slot in the registry's table: fixed while it is
   /// registered, handed to a later record once it retires.
@@ -479,13 +482,17 @@ class LockRec {
   }
   ColdRec* install_cold() noexcept;  // registry.cpp (out of line: cold)
 
-  /// Null while unregistered: the contended hooks' whole check. Written
-  /// only under the registry mutex, at registration and retirement.
-  const char* kind_ = nullptr;
   std::atomic<ColdRec*> cold_{nullptr};
-  /// Where the registry keeps the rest of the record (the reader, the
-  /// instance, the per-kind sequence and the registration stamp).
+  /// The registry's count of registrations when this one was made:
+  /// orders snapshots and numbers the generated name ("kind#N").
+  std::uint64_t stamp_ = 0;
+  /// Where the registry keeps its pointer to this record.
   std::uint32_t slot_ = 0;
+  /// The record's entry in the registry's kind table, 0 while
+  /// unregistered: the contended hooks' whole check. stamp_, slot_ and
+  /// kind_ are written only by this record's own registration and
+  /// retirement, under the registry mutex.
+  std::uint32_t kind_ = 0;
 };
 
 /// Reader for primitives whose tallies are one member (`&P::tally_`).

@@ -1,5 +1,6 @@
-// registry.cpp — telemetry registry: the slot table that holds each
-// record's registry-only half, snapshots, naming, hazard log.
+// registry.cpp — telemetry registry: the slot table that points at
+// each registered record, the kind table that says how to read it,
+// snapshots, naming, hazard log.
 #include "obs/registry.hpp"
 
 #include <algorithm>
@@ -11,59 +12,130 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <utility>
 
 namespace qsv::obs {
 
 namespace {
 
-/// Per-kind registration counter. Kinds are the primitives' static
-/// name() strings: a handful per process, so a fixed table keeps
-/// registration allocation-free.
-struct KindSeq {
-  const char* kind = nullptr;
-  std::uint64_t next = 0;
-};
-constexpr std::size_t kKinds = 64;
+/// A table whose element i lives in chunk c = bit_width(i / kFirst + 1)
+/// - 1, which holds kFirst << c elements: chunks double, so kChunks of
+/// them cover every 32-bit index. Chunks come from malloc, not operator
+/// new, so a lock's construction makes no operator-new call even when
+/// it is the one that grows a table. They are never moved or freed, so
+/// an element written before its index was published is read without
+/// the registry mutex.
+template <typename T, std::uint32_t kFirst, int kChunks>
+class Chunked {
+ public:
+  T& at(std::uint32_t i) const noexcept {
+    const int c = chunk_of(i);
+    return chunks_[c][i - base_of(c)];
+  }
 
-/// The registry-only half of a record: what snapshots and naming need
-/// and the lock itself never reads.
+ protected:
+  static int chunk_of(std::uint32_t i) noexcept {
+    return static_cast<int>(std::bit_width(i / kFirst + 1)) - 1;
+  }
+  static std::uint32_t base_of(int c) noexcept {
+    return kFirst * ((std::uint32_t{1} << c) - 1);
+  }
+  static std::uint32_t size_of(int c) noexcept { return kFirst << c; }
+
+  /// Make sure the chunk holding element i exists; false when it cannot.
+  bool reserve(std::uint32_t i) noexcept {
+    const int c = chunk_of(i);
+    if (c >= kChunks) return false;
+    if (chunks_[c] == nullptr) {
+      void* mem = std::malloc(std::size_t{size_of(c)} * sizeof(T));
+      if (mem == nullptr) return false;
+      chunks_[c] = static_cast<T*>(mem);
+    }
+    return true;
+  }
+
+ private:
+  T* chunks_[kChunks] = {};
+};
+
+/// What every instance of one primitive type shares: its kind name, its
+/// tally reader, and where its LockRec sits inside it, so a record finds
+/// its instance by subtraction.
+struct Kind {
+  const char* name;
+  TallyReader read;
+  std::ptrdiff_t offset;  ///< of the LockRec from the instance's start
+};
+
+/// The kinds seen so far: a handful per process. A record holds its
+/// kind's index (LockRec::kind_), and entries are never changed once
+/// written, so kind(), instance() and hot() read them without the
+/// registry mutex. Entry 0 is no kind, a dark record's. Every mutator
+/// runs under the registry mutex.
+class KindTable : public Chunked<Kind, 16, 28> {
+ public:
+  /// The index of (name, read, offset), added when new; 0 when the
+  /// table cannot grow.
+  std::uint32_t find_or_add(const char* name, TallyReader read,
+                            std::ptrdiff_t offset) noexcept {
+    for (std::uint32_t k = 1; k < size_; ++k) {
+      const Kind& e = at(k);
+      if (e.read == read && e.offset == offset &&
+          (e.name == name || std::strcmp(e.name, name) == 0)) {
+        return k;
+      }
+    }
+    if (!reserve(size_)) return 0;
+    at(size_) = Kind{name, read, offset};
+    return size_++;
+  }
+
+ private:
+  std::uint32_t size_ = 1;  ///< entries written: [1, size_)
+};
+
+/// One slot of the registry's table: a registered record, or, while
+/// free, the number of the next free slot shifted above a set bit 0. A
+/// LockRec is pointer-aligned, so no record's address has bit 0 set.
 struct Slot {
-  LockRec* rec = nullptr;  ///< null while free
-  TallyReader read = nullptr;
-  const void* instance = nullptr;
-  /// Registration order, which snapshots sort by; while the slot is
-  /// free, the number of the next free slot.
-  std::uint64_t stamp = 0;
-  std::uint64_t seq = 0;  ///< per-kind registration number ("kind#seq")
-};
+  std::uintptr_t word = 0;
 
-/// The registry's slots, numbered densely. Slot i lives in chunk
-/// c = bit_width(i / kFirst + 1) - 1, which holds kFirst << c slots:
-/// chunks double, so kChunks of them cover every 32-bit slot number.
-/// Chunks are never moved or freed, so a record reads its own slot
-/// without the registry mutex (LockRec::hot()). A chunk is allocated
-/// when its first slot is needed, and its slots are written in runs
-/// before any is handed out, so the table's pages are faulted together
-/// rather than one at a time between the pages of the instances being
-/// built. A chunk's runs double from kFirst slots (20 KiB) up to
-/// kMaxRun bytes, so the written but unused tail stays below both
-/// kMaxRun and what the chunk already holds. Retired slots are reused,
-/// newest first. Every mutator runs under the registry mutex.
-class SlotTable {
+  static Slot of(LockRec* rec) noexcept {
+    return {reinterpret_cast<std::uintptr_t>(rec)};
+  }
+  static Slot free(std::uint32_t next) noexcept {
+    return {(std::uintptr_t{next} << 1) | 1};
+  }
+  /// The record, or null while the slot is free (or never used).
+  LockRec* rec() const noexcept {
+    return (word & 1) == 0 ? reinterpret_cast<LockRec*>(word) : nullptr;
+  }
+  std::uint32_t next_free() const noexcept {
+    return static_cast<std::uint32_t>(word >> 1);
+  }
+};
+static_assert(sizeof(Slot) == sizeof(void*));
+static_assert(sizeof(std::uintptr_t) > sizeof(std::uint32_t),
+              "a free slot keeps a 32-bit slot number above its tag bit");
+
+/// The registry's slots, numbered densely, one per registered record.
+/// A chunk's slots are written in runs before any is handed out, so
+/// the table's pages are faulted together rather than one at a time
+/// between the pages of the instances being built. A chunk's runs
+/// double from 16 KiB (chunk 0's size) up to kMaxRun bytes, so the
+/// written but unused tail stays below both kMaxRun and what the chunk
+/// already holds. Retired slots are reused, newest first. Every member
+/// runs under the registry mutex.
+class SlotTable : public Chunked<Slot, (16 << 10) / sizeof(Slot), 21> {
  public:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
-  Slot& at(std::uint32_t i) const noexcept {
-    const int c = static_cast<int>(std::bit_width(i / kFirst + 1)) - 1;
-    return chunks_[c][i - kFirst * ((std::uint32_t{1} << c) - 1)];
-  }
 
   /// A slot for a new record: the newest retired one, else a fresh one.
   /// kNone when the table cannot grow.
   std::uint32_t take() noexcept {
     if (free_ != kNone) {
       const std::uint32_t i = free_;
-      free_ = static_cast<std::uint32_t>(at(i).stamp);
+      free_ = at(i).next_free();
       return i;
     }
     if (fresh_ == written_ && !write_run()) return kNone;
@@ -71,66 +143,35 @@ class SlotTable {
   }
 
   void give_back(std::uint32_t i) noexcept {
-    Slot& s = at(i);
-    s.rec = nullptr;
-    s.stamp = free_;
+    at(i) = Slot::free(free_);
     free_ = i;
   }
 
-  /// Every live slot, in registration order.
-  std::vector<const Slot*> live() const {
-    std::vector<const Slot*> out;
+  /// Call f(rec) for every registered record, in slot order.
+  template <typename F>
+  void for_each_live(F f) const {
     for (std::uint32_t i = 0; i < fresh_; ++i) {
-      if (at(i).rec != nullptr) out.push_back(&at(i));
+      if (LockRec* r = at(i).rec()) f(*r);
     }
-    std::sort(out.begin(), out.end(), [](const Slot* a, const Slot* b) {
-      return a->stamp < b->stamp;
-    });
-    return out;
-  }
-
-  /// The earliest-registered live slot satisfying `match`, or null.
-  template <typename Match>
-  const Slot* first(Match match) const {
-    const Slot* best = nullptr;
-    for (std::uint32_t i = 0; i < fresh_; ++i) {
-      const Slot& e = at(i);
-      if (e.rec != nullptr && (best == nullptr || e.stamp < best->stamp) &&
-          match(e)) {
-        best = &e;
-      }
-    }
-    return best;
   }
 
  private:
-  static constexpr std::uint32_t kFirst = 512;  ///< slots in chunk 0
-  static constexpr int kChunks = 23;
   static constexpr std::size_t kMaxRun = std::size_t{1} << 20;
 
   /// Write the next run of fresh slots, allocating its chunk when the
   /// run starts one.
   bool write_run() noexcept {
-    const int c = static_cast<int>(std::bit_width(written_ / kFirst + 1)) - 1;
-    if (c >= kChunks) return false;
-    const std::uint32_t base = kFirst * ((std::uint32_t{1} << c) - 1);
-    const std::uint32_t size = kFirst << c;
-    if (written_ == base) {
-      // malloc, not operator new: a lock's construction makes no
-      // operator-new call, even when it is the one that grows the table.
-      void* mem = std::malloc(std::size_t{size} * sizeof(Slot));
-      if (mem == nullptr) return false;
-      chunks_[c] = static_cast<Slot*>(mem);
-    }
-    const std::uint32_t run = std::max(kFirst, written_ - base);
+    if (!reserve(written_)) return false;
+    const int c = chunk_of(written_);
+    const std::uint32_t base = base_of(c);
     const std::uint32_t n = std::min<std::uint32_t>(
-        {base + size - written_, run, kMaxRun / sizeof(Slot)});
+        {base + size_of(c) - written_, std::max(size_of(0), written_ - base),
+         kMaxRun / sizeof(Slot)});
     std::uninitialized_value_construct_n(&at(written_), n);
     written_ += n;
     return true;
   }
 
-  Slot* chunks_[kChunks] = {};
   std::uint32_t fresh_ = 0;    ///< slots ever handed out: [0, fresh_)
   std::uint32_t written_ = 0;  ///< slots written: [0, written_)
   std::uint32_t free_ = kNone;  ///< newest retired slot
@@ -141,11 +182,10 @@ class SlotTable {
 /// hot path never comes here — it counts into the primitive itself.
 struct State {
   std::mutex mu;
+  KindTable kinds;
   SlotTable slots;
-  std::uint64_t next_stamp = 0;
+  std::uint64_t next_stamp = 0;  ///< the next registration's number
   std::size_t live = 0;
-  KindSeq kinds[kKinds];
-  std::uint64_t overflow_seq = 0;  ///< kinds past the table share this
   std::deque<std::string> hazards;
 };
 
@@ -176,8 +216,10 @@ namespace detail {
 
 /// The registry's view of a LockRec's in-object fields.
 struct RegistryAccess {
-  static const char*& kind(LockRec& r) { return r.kind_; }
+  static std::uint64_t& stamp(LockRec& r) { return r.stamp_; }
+  static std::uint64_t stamp(const LockRec& r) { return r.stamp_; }
   static std::uint32_t& slot(LockRec& r) { return r.slot_; }
+  static std::uint32_t& kind(LockRec& r) { return r.kind_; }
   static ColdRec* cold_or_alloc(LockRec& r) { return r.cold_or_alloc(); }
 };
 
@@ -187,28 +229,46 @@ namespace {
 
 using Access = detail::RegistryAccess;
 
-std::uint64_t next_seq_locked(State& s, const char* kind) {
-  for (KindSeq& k : s.kinds) {
-    if (k.kind == nullptr) {
-      k.kind = kind;
-      return k.next++;
+static_assert(alignof(LockRec) > 1, "bit 0 of a slot tags it free");
+
+/// Every live record with its registration number, in registration
+/// order. Each record's number is read once, here, never by the sort:
+/// ledger sorts 2^17 of them.
+std::vector<std::pair<std::uint64_t, const LockRec*>> live_in_order(
+    const State& s) {
+  std::vector<std::pair<std::uint64_t, const LockRec*>> out;
+  out.reserve(s.live);
+  s.slots.for_each_live(
+      [&out](LockRec& r) { out.emplace_back(Access::stamp(r), &r); });
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  return out;
+}
+
+/// The earliest-registered live record satisfying `match`, or null.
+template <typename Match>
+LockRec* first_live(const State& s, Match match) {
+  LockRec* best = nullptr;
+  s.slots.for_each_live([&best, &match](LockRec& r) {
+    if ((best == nullptr || Access::stamp(r) < Access::stamp(*best)) &&
+        match(r)) {
+      best = &r;
     }
-    if (k.kind == kind || std::strcmp(k.kind, kind) == 0) return k.next++;
-  }
-  return s.overflow_seq++;
+  });
+  return best;
 }
 
-std::string name_of(const Slot& e) {
-  const ColdRec* c = e.rec->cold();
+std::string name_of(const LockRec& r) {
+  const ColdRec* c = r.cold();
   if (c != nullptr && !c->name.empty()) return c->name;
-  return std::string(e.rec->kind()) + "#" + std::to_string(e.seq);
+  return std::string(r.kind()) + "#" + std::to_string(Access::stamp(r));
 }
 
-void fill_stats(const Slot& e, LockStats& out) {
-  const LockRec& r = *e.rec;
-  out.name = name_of(e);
+void fill_stats(const LockRec& r, LockStats& out) {
+  out.name = name_of(r);
   out.kind = r.kind();
-  out.instance = e.instance;
+  out.instance = r.instance();
   out.acquisitions = r.acquisitions();
   out.contended = r.contended();
   out.shared_acquisitions = r.shared_acquisitions();
@@ -244,12 +304,16 @@ void registry_register(LockRec* rec, const char* kind, const void* instance,
                        TallyReader read) noexcept {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
+  const std::uint32_t k = s.kinds.find_or_add(
+      kind, read,
+      reinterpret_cast<const char*>(rec) - static_cast<const char*>(instance));
+  if (k == 0) return;  // the record stays dark
   const std::uint32_t i = s.slots.take();
-  if (i == SlotTable::kNone) return;  // the record stays dark
-  s.slots.at(i) = Slot{rec, read, instance, s.next_stamp++,
-                       next_seq_locked(s, kind)};
-  Access::kind(*rec) = kind;
+  if (i == SlotTable::kNone) return;  // as above
+  s.slots.at(i) = Slot::of(rec);
+  Access::stamp(*rec) = s.next_stamp++;
   Access::slot(*rec) = i;
+  Access::kind(*rec) = k;
   ++s.live;
 }
 
@@ -257,21 +321,26 @@ void registry_unregister(LockRec* rec) noexcept {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
   s.slots.give_back(rec->slot());
-  Access::kind(*rec) = nullptr;  // retired: get() is null from here on
+  Access::kind(*rec) = 0;  // retired: get() is null from here on
   --s.live;
 }
 
 }  // namespace detail
 
+const char* LockRec::kind() const noexcept {
+  return kind_ != 0 ? state().kinds.at(kind_).name : nullptr;
+}
+
 const void* LockRec::instance() const noexcept {
-  return kind_ != nullptr ? state().slots.at(slot_).instance : nullptr;
+  if (kind_ == 0) return nullptr;
+  return reinterpret_cast<const char*>(this) - state().kinds.at(kind_).offset;
 }
 
 HotCounts LockRec::hot() const noexcept {
   HotCounts h;
-  if (kind_ != nullptr) {
-    const Slot& e = state().slots.at(slot_);
-    e.read(e.instance, h);
+  if (kind_ != 0) {
+    const Kind& k = state().kinds.at(kind_);
+    k.read(reinterpret_cast<const char*>(this) - k.offset, h);
   }
   return h;
 }
@@ -293,31 +362,33 @@ ColdRec* LockRec::install_cold() noexcept {
 std::vector<LockStats> snapshot() {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
-  const std::vector<const Slot*> live = s.slots.live();
+  const auto live = live_in_order(s);
   std::vector<LockStats> out(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) fill_stats(*live[i], out[i]);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    fill_stats(*live[i].second, out[i]);
+  }
   return out;
 }
 
 bool stat_by_name(std::string_view name, LockStats& out) {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
-  const Slot* e =
-      s.slots.first([name](const Slot& x) { return name_of(x) == name; });
-  if (e == nullptr) return false;
-  fill_stats(*e, out);
+  const LockRec* r =
+      first_live(s, [name](const LockRec& x) { return name_of(x) == name; });
+  if (r == nullptr) return false;
+  fill_stats(*r, out);
   return true;
 }
 
 void set_name(const void* instance, std::string_view name) {
   State& s = state();
   std::lock_guard<std::mutex> guard(s.mu);
-  const Slot* e = s.slots.first(
-      [instance](const Slot& x) { return x.instance == instance; });
-  if (e == nullptr) return;
+  LockRec* r = first_live(
+      s, [instance](const LockRec& x) { return x.instance() == instance; });
+  if (r == nullptr) return;
   // A named record carries its name in the cold block, so naming
   // allocates it; the name is read and written only under s.mu.
-  if (ColdRec* c = Access::cold_or_alloc(*e->rec)) c->name = std::string(name);
+  if (ColdRec* c = Access::cold_or_alloc(*r)) c->name = std::string(name);
 }
 
 std::size_t size() {

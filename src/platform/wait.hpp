@@ -100,34 +100,34 @@ class RuntimeWait {
     ewma_polls_.store(polls / 2, std::memory_order_relaxed);
   }
 
-  /// Block while `flag == expected`.
+  /// Block while `flag == expected`. A parking policy sleeps on
+  /// `expected` itself, never on a value loaded afresh: a word that
+  /// comes back to an earlier value (the futex mutex's 2, 0, 2, 0)
+  /// could otherwise put a waiter to sleep on a value that already
+  /// releases it, after the wake for it was sent.
   template <typename T>
   void wait_while_equal(const std::atomic<T>& flag, T expected) noexcept {
-    wait_until(flag, [&flag, expected]() noexcept {
-      return flag.load(std::memory_order_acquire) != expected;
-    });
+    wait(
+        [&flag, expected]() noexcept {
+          return flag.load(std::memory_order_acquire) != expected;
+        },
+        [&flag, expected]() noexcept {
+          flag.wait(expected, std::memory_order_acquire);
+        });
   }
 
   /// Predicate wait for protocol states that are not a single equality
   /// (masked bits, counters): spin on `done()`, and beyond the budget
   /// yield — or, for parking policies, sleep on `word`, whose writers
   /// must notify through this object. `word` must change whenever
-  /// `done()` can become true.
-  ///
-  /// Under a chk scheduler (test builds only) the wait is handed to the
-  /// scheduler whole — this entry IS the model checker's seam, the one
-  /// point every primitive's terminal wait already funnels through.
+  /// `done()` can become true, and never come back to an earlier
+  /// value (epochs and counters do not).
   template <typename T, typename Pred>
   void wait_until(const std::atomic<T>& word, Pred done) noexcept {
-    if (chk_hook::active()) {
-      chk_hook::block(done);
-      return;
-    }
-    if (policy_ == qsv::wait_policy::spin) {
-      while (!done()) cpu_relax();
-      return;
-    }
-    wait_slow(word, done);
+    wait(done, [&word, &done]() noexcept {
+      const T v = word.load(std::memory_order_acquire);
+      if (!done()) word.wait(v, std::memory_order_acquire);
+    });
   }
 
   /// Wakes are no-ops for the polling policies (their stores are
@@ -168,10 +168,27 @@ class RuntimeWait {
     return p == qsv::wait_policy::park || p == qsv::wait_policy::adaptive;
   }
 
+  /// Both waits: spin on `done()`, past the budget yield or `sleep()`.
+  /// Under a chk scheduler (test builds only) the wait is handed to the
+  /// scheduler whole — this entry IS the model checker's seam, the one
+  /// point every primitive's terminal wait already funnels through.
+  template <typename Pred, typename Sleep>
+  void wait(Pred done, Sleep sleep) noexcept {
+    if (chk_hook::active()) {
+      chk_hook::block(done);
+      return;
+    }
+    if (policy_ == qsv::wait_policy::spin) {
+      while (!done()) cpu_relax();
+      return;
+    }
+    wait_slow(done, sleep);
+  }
+
   /// Everything past the inlined spin fast path: spin the budget
   /// (calibrated for adaptive), then yield or park.
-  template <typename T, typename Pred>
-  void wait_slow(const std::atomic<T>& word, Pred& done) noexcept {
+  template <typename Pred, typename Sleep>
+  void wait_slow(Pred& done, Sleep& sleep) noexcept {
     const bool calibrate = policy_ == qsv::wait_policy::adaptive;
     const std::uint32_t budget = spin_budget();
     for (std::uint32_t i = 0; i < budget; ++i) {
@@ -186,11 +203,7 @@ class RuntimeWait {
       while (!done()) thread_yield();
       return;
     }
-    for (;;) {
-      const T v = word.load(std::memory_order_acquire);
-      if (done()) return;
-      word.wait(v, std::memory_order_acquire);
-    }
+    while (!done()) sleep();
   }
 
   /// Feed one observed wake latency (in polls) into adaptive's EWMA.

@@ -6,6 +6,7 @@
 // empty) by skipping the observed-path checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include "platform/wait.hpp"
 #include "qsv/cohort_mutex.hpp"
 #include "qsv/mutex.hpp"
+#include "qsv/shared_mutex.hpp"
 
 // A counting global allocator for this binary: while g_count_news is
 // set, every operator new (plain, nothrow and aligned) is tallied.
@@ -340,6 +342,41 @@ TEST(ObsRegistry, ReusedSlotKeepsRegistrationOrderAndNames) {
   EXPECT_EQ(st.instance, static_cast<const void*>(&*d));
 }
 
+TEST(ObsRegistry, EachRecordResolvesItsOwnInstanceAndKind) {
+  // A record finds its instance and kind through its type's entry in
+  // the registry, and these four types keep their LockRec at different
+  // offsets. Generated names number registrations across all kinds.
+  qsv::mutex m;
+  if (m.telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
+  qsv::timed_mutex tm;
+  qsv::shared_mutex sm;
+  qsv::cohort_mutex cm;
+  struct Want {
+    const void* instance;
+    std::string kind;
+  };
+  const Want wants[] = {{&m, qsv::mutex::name()},
+                        {&tm, qsv::timed_mutex::name()},
+                        {&sm, qsv::shared_mutex::name()},
+                        {&cm, qsv::cohort_mutex::name()}};
+  const std::vector<qo::LockStats> snap = qo::snapshot();
+  std::vector<std::string> names;
+  for (const Want& want : wants) {
+    std::size_t entries = 0;
+    for (const qo::LockStats& st : snap) {
+      if (st.instance != want.instance) continue;
+      ++entries;
+      EXPECT_EQ(st.kind, want.kind);
+      EXPECT_EQ(st.name.rfind(want.kind + "#", 0), 0u) << st.name;
+      names.push_back(st.name);
+    }
+    EXPECT_EQ(entries, 1u) << want.kind;
+  }
+  ASSERT_EQ(names.size(), 4u);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
 TEST(ObsRecord, NoColdBlockBeforeFirstContendedAcquisition) {
   qc::QsvMutex m(qsv::wait_policy::spin_yield);
   const qo::LockRec* rec = m.telemetry();
@@ -454,6 +491,59 @@ TEST(ObsHazards, DetectHazardsFlagsStarvationByWorstObservedWait) {
        qo::detect_hazards(1'000'000'000'000ULL, 1'000'000'000'000ULL)) {
     EXPECT_EQ(h.find("starved-for-test"), std::string::npos);
   }
+}
+
+TEST(ObsHazards, DetectHazardsFlagsALiveLongHold) {
+  // A handoff stamps the granted waiter's hold start, so the detector
+  // flags a contended holder while it outstays the threshold, and its
+  // release clears the stamp.
+  qc::QsvMutex m(qsv::wait_policy::spin_yield);
+  if (m.telemetry() == nullptr) GTEST_SKIP() << "telemetry compiled out";
+  const std::string name = "long-held-for-test";
+  qo::set_name(&m, name);
+  constexpr std::uint64_t kLongHoldNs = 10'000'000;
+  const auto flags_it = [&name] {
+    for (const std::string& h : qo::detect_hazards(kLongHoldNs, ~0ULL)) {
+      if (h.find("long-hold") != std::string::npos &&
+          h.find(name) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  m.lock();
+  std::thread holder([&] {
+    m.lock();  // queues behind main, so a handoff grants it
+    holding.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    m.unlock();  // a free release: nobody queued behind
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  m.unlock();
+  while (!holding.load(std::memory_order_acquire)) std::this_thread::yield();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool flagged = flags_it();
+  while (!flagged && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    flagged = flags_it();
+  }
+  qo::LockStats held;
+  const bool found = qo::stat_by_name(name, held);
+  release.store(true, std::memory_order_release);
+  holder.join();
+  EXPECT_TRUE(flagged);
+  ASSERT_TRUE(found);
+  EXPECT_GT(held.held_for_ns, kLongHoldNs);
+
+  qo::LockStats freed;
+  ASSERT_TRUE(qo::stat_by_name(name, freed));
+  EXPECT_EQ(freed.held_for_ns, 0u);
+  EXPECT_FALSE(flags_it());
 }
 
 }  // namespace

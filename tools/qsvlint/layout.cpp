@@ -68,7 +68,8 @@ const std::vector<LayoutEntry>& layout_entries() {
       // The queue locks are one 64-byte line each (obs/hook.hpp). A
       // handoff reads none of it, so nothing here pins field offsets;
       // the LockRec bound keeps the registry's fields (list links, the
-      // reader, the instance) from creeping back into the instance.
+      // reader, the instance, the kind name) from creeping back into
+      // the instance.
       one_line("src/core/qsv_mutex.hpp", "qsv::core::QsvMutex"),
       one_line("src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex"),
       one_line("src/locks/mcs.hpp", "qsv::locks::McsLock"),
