@@ -20,7 +20,6 @@
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
 #include "locks/graunke_thakkar.hpp"
-#include "locks/mcs.hpp"
 #include "locks/tas.hpp"
 #include "locks/ticket.hpp"
 #include "locks/ttas.hpp"
@@ -77,7 +76,6 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   qsv::locks::TtasLock<> ttas;
   qsv::locks::TicketLock ticket;
   qsv::locks::ClhLock clh;
-  qsv::locks::McsLock mcs;
   qsv::core::QsvMutex qsv_mutex;
   qsv::core::QsvTimeoutMutex timeout;
   qsv::core::QsvRwLock<> rw;
@@ -92,7 +90,6 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
            gt.footprint_bytes(), "O(capacity) per instance", 0,
            gt.footprint_bytes());
   observed("clh", clh, sizeof(clh), "constant", node);
-  observed("mcs", mcs, sizeof(mcs), "constant", node);
   observed("qsv", qsv_mutex, sizeof(qsv_mutex),
            "constant (1 word + padding)", node);
   observed("qsv-timeout", timeout, sizeof(timeout), "constant", node);
@@ -146,11 +143,11 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
   report.note("hier-qsv, cohort/qsv+qsv: bytes_per_instance and records "
               "after one thread's cycle, crew_bytes and crew_records after "
               "`crew` threads took the lock");
-  report.note("qsv, qsv-timeout, mcs: one 64-byte line — the lock word, "
-              "its tallies, the record's kind, cold-block pointer and "
-              "registry slot number, and the wait policy; the registry "
-              "keeps the rest of each record in a slot of its own table, "
-              "outside the instance");
+  report.note("qsv (also the catalogue's mcs row), qsv-timeout: one "
+              "64-byte line — the lock word, its tallies, the record's "
+              "kind, cold-block pointer and registry slot number, and the "
+              "wait policy; the registry keeps the rest of each record in "
+              "a slot of its own table, outside the instance");
   return report;
 }
 

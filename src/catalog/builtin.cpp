@@ -32,7 +32,6 @@
 #include "locks/clh.hpp"
 #include "locks/futex.hpp"
 #include "locks/graunke_thakkar.hpp"
-#include "locks/mcs.hpp"
 #include "locks/tas.hpp"
 #include "locks/ticket.hpp"
 #include "locks/ttas.hpp"
@@ -86,7 +85,10 @@ static const qsv::catalog::Registrar qsv_cat_reg_gt{[] {
   return e;
 }()};
 QSV_CATALOG_REGISTER(qsv::locks::ClhLock, "clh");
-QSV_CATALOG_REGISTER(qsv::locks::McsLock, "mcs");
+// The QSV exclusive protocol is MCS's list-based queue lock (1991):
+// "mcs" and the cohort rows named after it are compositions of
+// QsvMutex, kept under the names the figures and the simulator use.
+QSV_CATALOG_REGISTER(qsv::core::QsvMutex, "mcs");
 QSV_CATALOG_REGISTER(qsv::catalog::StdMutexAdapter, "std::mutex");
 // The classic 3-state futex mutex — the "what the mechanism became"
 // baseline, now a first-class row.
@@ -98,19 +100,17 @@ QSV_CATALOG_REGISTER(qsv::core::QsvTimeoutMutex, "qsv-timeout");
 // The cohort combinator (hier/cohort_lock.hpp) over pairs of catalogue
 // mutexes: global tier × local (per-NUMA-node) tier, cohorts from the
 // discovered topology. hier-qsv is the QSV×QSV composition over fixed
-// blocks of four threads, independent of the machine; the rest measure
-// the cohort effect over other queue protocols (and a centralized
-// ticket tier as control).
+// blocks of four threads, independent of the machine; cohort/mcs+mcs
+// is cohort/qsv+qsv under its MCS name, and the ticket rows pair the
+// queue lock with a centralized tier as control.
 using HierQsv = qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex,
                                       qsv::hier::BlockCohortMap>;
 using CohortQsvQsv =
     qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex>;
-using CohortMcsMcs =
-    qsv::hier::CohortLock<qsv::locks::McsLock, qsv::locks::McsLock>;
 using CohortQsvTicket =
     qsv::hier::CohortLock<qsv::core::QsvMutex, qsv::locks::TicketLock>;
-using CohortTicketMcs =
-    qsv::hier::CohortLock<qsv::locks::TicketLock, qsv::locks::McsLock>;
+using CohortTicketQsv =
+    qsv::hier::CohortLock<qsv::locks::TicketLock, qsv::core::QsvMutex>;
 // Both tiers centralized: the all-ticket composition is the scale
 // oracle's worst-case control (every wait spins on a shared serving
 // word), bounding the cohort effect from below in fig12.
@@ -121,9 +121,9 @@ static const qsv::catalog::Registrar qsv_cat_reg_hier{
     qsv::catalog::entry_cohort<HierQsv>("hier-qsv",
                                         qsv::hier::BlockCohortMap(4))};
 QSV_CATALOG_REGISTER_COHORT(CohortQsvQsv, "cohort/qsv+qsv");
-QSV_CATALOG_REGISTER_COHORT(CohortMcsMcs, "cohort/mcs+mcs");
+QSV_CATALOG_REGISTER_COHORT(CohortQsvQsv, "cohort/mcs+mcs");
 QSV_CATALOG_REGISTER_COHORT(CohortQsvTicket, "cohort/qsv+ticket");
-QSV_CATALOG_REGISTER_COHORT(CohortTicketMcs, "cohort/ticket+mcs");
+QSV_CATALOG_REGISTER_COHORT(CohortTicketQsv, "cohort/ticket+mcs");
 QSV_CATALOG_REGISTER_COHORT(CohortTicketTicket, "cohort/ticket+ticket");
 
 // ---------------------------------------------------------- barriers

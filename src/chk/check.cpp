@@ -520,7 +520,7 @@ Report check(const Scenario& scenario, const Options& opts) {
   trace::lock_order_enable(true);
   trace::lock_order_quiet(true);
   // One feed: the checked wrappers report every row's acquisitions
-  // under their registered names. The production HeldMap feed would
+  // under their registered names. The production held-chain feed would
   // report a node-based row a second time, under the primitive's
   // (unnamed) address, so it stays off while the check explores.
   platform::hazard_hook::set_enabled(false);

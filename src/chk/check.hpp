@@ -208,7 +208,7 @@ struct Report {
 
 /// Explore `scenario` per `opts`. The lock-order detector is enabled
 /// (and reset) for the duration of the check and fed by the checked
-/// wrappers only: the production HeldMap feed stays off meanwhile.
+/// wrappers only: the production held-chain feed stays off meanwhile.
 Report check(const Scenario& scenario, const Options& opts);
 
 }  // namespace qsv::chk

@@ -5,9 +5,12 @@
 // it and wait on a flag in our own node (local spinning). Release grants
 // the successor with one store to the flag it is watching, or swings the
 // variable back to null with compare&swap when no successor is queued.
+// This is Mellor-Crummey and Scott's list-based queue lock (ACM TOCS
+// 1991): the catalogue's `mcs` rows are names for this class.
 //
-// Per-thread queue nodes come from the platform arena and are tracked in
-// a thread-local held map, so the public interface is node-free:
+// Per-thread queue nodes come from the platform arena, and each thread
+// chains the nodes of the locks it holds through the nodes themselves
+// (platform::HeldList), so the public interface is node-free:
 // lock()/unlock() like any mutex, and one word of per-variable state.
 #pragma once
 
@@ -51,7 +54,7 @@ class QsvMutex {
     } else {
       wait_behind(pred, n);
     }
-    Held::local().insert(this, n);
+    Held::push(n);
   }
 
   bool try_lock() {
@@ -63,7 +66,7 @@ class QsvMutex {
                                      std::memory_order_relaxed)) {
       n->policy = waiter_.policy();  // as in lock()
       tally_.count_acquire();
-      Held::local().insert(this, n);
+      Held::push(n);
       return true;
     }
     Arena::instance().release(n);
@@ -71,9 +74,7 @@ class QsvMutex {
   }
 
   void unlock() {
-    auto& e = Held::local().find(this);
-    Node* n = e.node;
-    Held::local().erase(e);
+    Node* n = Held::pop(this);
     // Only a contended acquisition left a cold block (and a hold stamp
     // in it) in its node: the uncontended cycle never leaves the node's
     // line here, and no release reads the lock's line for it.
@@ -109,22 +110,19 @@ class QsvMutex {
   }
 
   /// Hand the unlock obligation to another thread (the cohort
-  /// combinator's hook, hier/cohort_lock.hpp): detach the in-flight
-  /// acquisition's queue node from the calling thread's held map and
+  /// combinator's hook, hier/cohort_lock.hpp): unlink the held
+  /// acquisition's queue node from the calling thread's held chain and
   /// return it as an opaque token. The lock stays held; whichever
   /// thread adopt_hold()s the token becomes the one that must unlock().
   /// Nodes are arena-owned, so the cross-thread migration is safe by
   /// construction (platform/node_arena.hpp).
-  void* export_hold() {
-    auto& e = Held::local().find(this);
-    Node* n = e.node;
-    Held::local().erase(e);
-    return n;
-  }
+  void* export_hold() { return Held::pop(this); }
   /// Adopt an export_hold() token: the calling thread now holds the
   /// lock and must unlock() it.
   void adopt_hold(void* hold) {
-    Held::local().insert(this, static_cast<Node*>(hold));
+    Node* n = static_cast<Node*>(hold);
+    Held::stamp(n, this);
+    Held::push(n);
   }
 
   static constexpr const char* name() noexcept { return "qsv"; }
@@ -145,24 +143,29 @@ class QsvMutex {
 
   /// A queue node carries what its owner's release needs, so a handoff
   /// reads nothing of the lock: the wait policy to wake the successor
-  /// by, and the cold block of a contended acquisition. The owner alone
-  /// reads and writes those two; next and state are the protocol.
+  /// by, the cold block of a contended acquisition, and the owner's
+  /// held chain. The owner alone reads and writes those; next and state
+  /// are the protocol.
   struct Node {
     std::atomic<Node*> next{nullptr};
     std::atomic<std::uint32_t> state{kWaiting};
     qsv::wait_policy policy = qsv::wait_policy::spin;
     /// Null for an uncontended acquisition (and when telemetry is off).
     qsv::obs::ColdRec* cold = nullptr;
+    /// The held chain (platform::HeldList).
+    const void* held_lock = nullptr;
+    Node* held_next = nullptr;
   };
   using Arena = qsv::platform::NodeArena<Node>;
-  using Held = qsv::platform::HeldMap<Node>;
+  using Held = qsv::platform::HeldList<Node>;
 
-  static Node* fresh_node() {
+  Node* fresh_node() {
     Node* n = Arena::instance().acquire();
     // relaxed: node init; the acq_rel RMW that enqueues it publishes it.
     n->next.store(nullptr, std::memory_order_relaxed);
     n->state.store(kWaiting, std::memory_order_relaxed);  // relaxed: as above
     n->cold = nullptr;
+    Held::stamp(n, this);
     return n;
   }
 

@@ -106,10 +106,7 @@ class QsvTimeoutMutex {
   }
 
   void unlock() {
-    auto& map = qsv::platform::HeldMap<Node>::local();
-    auto& e = map.find(this);
-    Node* mine = e.node;
-    map.erase(e);
+    Node* mine = Held::pop(this);
     // Successor (spinning on our node) sees the release and reclaims it.
     // The releaser cannot tell handoff from free release (successors
     // are implicit in this protocol): only the hold watermark updates,
@@ -150,8 +147,12 @@ class QsvTimeoutMutex {
     /// the wait policy, and the cold block of a waited acquisition.
     qsv::wait_policy policy = qsv::wait_policy::spin;
     qsv::obs::ColdRec* cold = nullptr;
+    /// The held chain (platform::HeldList).
+    const void* held_lock = nullptr;
+    Node* held_next = nullptr;
   };
   using Arena = qsv::platform::NodeArena<Node>;
+  using Held = qsv::platform::HeldList<Node>;
 
   bool acquire(std::uint64_t deadline_ns) {
     Node* n = Arena::instance().acquire();
@@ -159,6 +160,7 @@ class QsvTimeoutMutex {
     n->state.store(kWaiting, std::memory_order_relaxed);
     n->pred.store(nullptr, std::memory_order_relaxed);  // relaxed: as above
     n->cold = nullptr;
+    Held::stamp(n, this);
     // Enqueue: acq_rel publishes our node and imports the predecessor's.
     Node* pred = var_.exchange(n, std::memory_order_acq_rel);
 
@@ -175,7 +177,7 @@ class QsvTimeoutMutex {
       if (s == kReleased) {
         // We own the variable. Adopt-and-reclaim the predecessor.
         Arena::instance().release(pred);
-        qsv::platform::HeldMap<Node>::local().insert(this, n);
+        Held::push(n);
         if (!waited) {
           tally_.count_acquire();  // on var_'s line, taken by the exchange
         } else if (cold != nullptr) {

@@ -1,8 +1,8 @@
 // cohort_lock.hpp — the cohort (hierarchical) lock combinator.
 //
 // CohortLock implements one budgeted local-handoff protocol over ANY
-// pair of mutexes from the catalogue (QSV×QSV, MCS×MCS, QSV×ticket,
-// ticket×MCS, …), so every lock family becomes a cohort composition
+// pair of mutexes from the catalogue (QSV×QSV, QSV×ticket, ticket×QSV,
+// ticket×ticket, …), so every lock family becomes a cohort composition
 // and the cohort effect can be measured independently of the queue
 // protocol that carries it. The catalogue's "hier-qsv" row is the
 // QSV×QSV composition over fixed blocks of four threads.
@@ -69,7 +69,7 @@ namespace qsv::hier {
 /// The component can hand its unlock obligation to another thread:
 /// export_hold() detaches the in-flight acquisition from the calling
 /// thread as an opaque token, adopt_hold() attaches it to the adopter
-/// (QsvMutex and McsLock implement the pair over their held maps).
+/// (QsvMutex implements the pair over its held chain).
 template <typename L>
 concept HoldTransferable = requires(L l, void* hold) {
   { l.export_hold() } -> std::convertible_to<void*>;

@@ -34,7 +34,7 @@ namespace detail {
 /// Cohort-map contract violations feed directly into cohort-table
 /// indexing (a zero block is a divide-by-zero, an empty node an
 /// unmapped cohort); abort deterministically in every build mode
-/// rather than fall into UB — the HeldMap/node-layer precedent.
+/// rather than fall into UB — the node layer's precedent.
 [[noreturn]] inline void cohort_fatal(const char* what) noexcept {
   std::fprintf(stderr, "libqsv cohort layer: %s\n", what);
   std::abort();

@@ -2,10 +2,10 @@
 //
 // Each waiter enqueues a node via one fetch&store on the tail and spins
 // on its *predecessor's* node. Release is a single store to the node the
-// successor is already watching. After release a thread's own node is
-// still being polled by its successor, so the releaser adopts the
-// predecessor's (now quiescent) node for future use — the famous CLH
-// node-recycling trick, hidden here behind the arena/held-map machinery.
+// successor is already watching. A released node belongs to its
+// successor: the thread that acquires recycles its predecessor's (now
+// quiescent) node at once — the CLH node-recycling trick, hidden here
+// behind the node arena (platform/node_arena.hpp).
 #pragma once
 
 #include <atomic>
@@ -47,6 +47,7 @@ class ClhLock {
     Node* n = Arena::instance().acquire();
     // relaxed: node init; the acq_rel exchange below publishes it.
     n->released.store(0, std::memory_order_relaxed);
+    Held::stamp(n, this);
     // acq_rel: release publishes my node's init; acquire receives the
     // predecessor's node contents.
     Node* pred = tail_.exchange(n, std::memory_order_acq_rel);
@@ -59,20 +60,20 @@ class ClhLock {
       waiter_.wait_while_equal(pred->released, 0u);
       rec_.count_contended_acquire(t0);
     }
-    auto& e = Held::local().insert(this, n);
-    e.aux = pred;  // adopt on unlock
+    // The predecessor's node is ours now and nobody polls it: recycle it.
+    Arena::instance().release(pred);
+    Held::push(n);
   }
 
   void unlock() {
     rec_.note_release();
-    auto& e = Held::local().find(this);
-    Node* mine = e.node;
-    Node* adopted = e.aux;
-    Held::local().erase(e);
+    Node* mine = Held::pop(this);
     // Single store the successor is spinning on; release publishes CS.
+    // From here the node is the successor's (or the next arrival's),
+    // which may recycle it before the wake below — benign: arena nodes
+    // are never unmapped, and every wait re-checks its predicate.
     mine->released.store(1, std::memory_order_release);
     waiter_.notify_all(mine->released);
-    Arena::instance().release(adopted);
   }
 
   static constexpr const char* name() noexcept { return "clh"; }
@@ -88,9 +89,12 @@ class ClhLock {
 
   struct Node {
     std::atomic<std::uint32_t> released{0};
+    /// The held chain (platform::HeldList): the owner's alone.
+    const void* held_lock = nullptr;
+    Node* held_next = nullptr;
   };
   using Arena = qsv::platform::NodeArena<Node>;
-  using Held = qsv::platform::HeldMap<Node>;
+  using Held = qsv::platform::HeldList<Node>;
 
   /// How this instance's waiters wait (and are woken).
   qsv::platform::RuntimeWait waiter_;

@@ -17,9 +17,9 @@
 //     where the LockRec sits inside the instance) once per type, in the
 //     kind-table entry its index names. So construction allocates
 //     nothing and no other record's coming or going writes the
-//     instance. QsvMutex, QsvTimeoutMutex and McsLock are each one
-//     64-byte line: the lock word, its Tally, the LockRec and the
-//     RuntimeWait;
+//     instance. QsvMutex (also the catalogue's `mcs` row) and
+//     QsvTimeoutMutex are each one 64-byte line: the lock word, its
+//     Tally, the LockRec and the RuntimeWait;
 //   * a ColdRec on the heap, allocated when the first contended
 //     acquisition starts waiting and freed at unregistration: contended
 //     counts, handoffs, the wait EWMA and histogram, watermarks, the
@@ -48,10 +48,10 @@
 // own node and writes the successor's grant, and the granted waiter
 // counts both its contended acquisition and the handoff that admitted
 // it in the cold block (ColdRec::count_granted()): in a queue lock
-// each handoff admits exactly one contended acquisition. QsvMutex and
-// McsLock (and QsvTimeoutMutex's release) work this way; the other
-// protocols call note_release() on every release, which reads cold_
-// on the record's line.
+// each handoff admits exactly one contended acquisition. QsvMutex (and
+// QsvTimeoutMutex's release) work this way; the other protocols call
+// note_release() on every release, which reads cold_ on the record's
+// line.
 // Clock reads, the cold block and every RMW of the layer sit on
 // contended paths, which already cost a cache-miss chain. The whole
 // layer compiles out under -DQSV_OBS=0 (CMake option QSV_OBS=OFF): the

@@ -1,9 +1,9 @@
 // hazard_hook.hpp — the platform-side seam for hazard detectors.
 //
-// The per-thread HeldMap (node_arena.hpp) sees every node-based lock
-// acquisition and release, which makes it the natural production feed
-// for hazard detectors such as the lock-order-inversion graph in
-// src/trace/lock_order.cpp. But platform/ is the bottom layer of the
+// The per-thread held chain (HeldList, node_arena.hpp) sees every
+// node-based lock acquisition and release, which makes it the natural
+// production feed for hazard detectors such as the lock-order-inversion
+// graph in src/trace/lock_order.cpp. But platform/ is the bottom layer of the
 // tree: it must not include trace/ (qsvlint's layering rule makes that
 // a build failure). This header inverts the dependency — platform owns
 // two callback slots and a cheap enable flag, and the detector above
@@ -40,7 +40,7 @@ inline void install(Callback on_acquire, Callback on_release) noexcept {
 }
 
 /// Gate the per-acquisition feed. The detector mirrors its own enable
-/// state here so the HeldMap fast path stays a single inlined load.
+/// state here so the held chain's fast path stays a single inlined load.
 inline void set_enabled(bool on) noexcept {
   // relaxed: see g_enabled above — ordering comes from the callback
   // pointer's release/acquire pair, not from this flag.

@@ -2,16 +2,15 @@
 //
 // MCS and CLH need one queue node per (thread, held lock). Exposing nodes
 // in the public API is error-prone, so the locks draw nodes from a
-// per-thread cache backed by a global arena and remember which node
-// belongs to which lock in a small per-thread "held map". Nodes may
-// migrate between threads (CLH adoption), so ultimate ownership rests
-// with the arena, which lives until process exit.
+// per-thread cache backed by a global arena, and each thread chains the
+// nodes of the locks it holds through the nodes themselves (HeldList).
+// Nodes may migrate between threads (CLH adoption), so ultimate
+// ownership rests with the arena, which lives until process exit.
 //
 // Fast paths: the arena fronts its per-thread vector cache with a
 // single-slot cache, so the uncontended lock/unlock cycle — acquire one
 // node, release one node — performs no vector operation and no
-// allocation in steady state. The held map keeps a last-acquired hint
-// and a free-slot hint, so the same cycle performs no linear scan.
+// allocation in steady state, and finds its node at the chain's head.
 //
 // Nodes released by one thread and acquired by another (a writer
 // recycling withdrawn QsvRwLock reader nodes while the reader draws
@@ -35,9 +34,9 @@
 namespace qsv::platform {
 
 namespace detail {
-/// Contract violations in the node layer (capacity overflow, unmatched
-/// unlock) corrupt the queue protocols if allowed to continue; abort
-/// deterministically in every build mode rather than fall into UB.
+/// Contract violations in the node layer (an unmatched unlock) corrupt
+/// the queue protocols if allowed to continue; abort deterministically
+/// in every build mode rather than fall into UB.
 [[noreturn]] inline void node_fatal(const char* what) noexcept {
   std::fprintf(stderr, "libqsv node layer: %s\n", what);
   std::abort();
@@ -153,85 +152,56 @@ class NodeArena {
   std::vector<Node*> free_;
 };
 
-/// Per-thread map from lock instance to the node (and auxiliary pointer)
-/// used for the in-flight acquisition. The last-acquired hint makes the
-/// lock/unlock cycle O(1); deeper nesting falls back to a bounded linear
-/// scan over thread-local memory (lock nesting depth in real programs is
-/// tiny).
-template <typename Node, std::size_t kMaxHeld = 32>
-class HeldMap {
+/// The calling thread's holds of one node type, chained through the
+/// held nodes themselves. `Node` carries two owner-private fields:
+/// `held_lock`, the lock instance it was enqueued on, and `held_next`,
+/// the thread's next older hold. The chain costs one thread_local
+/// pointer per node type and has no depth limit. An unlock in LIFO
+/// order finds its node at the head; any other order walks the chain
+/// and rewrites one newer hold's `held_next` (in a CLH-style node, a
+/// line that hold's successor polls).
+///
+/// Doubles as the hazard detectors' production feed: every node-based
+/// lock reports its acquisitions and releases through the
+/// platform-owned hazard_hook seam (one relaxed load when no detector
+/// is enabled, the default). The lock-order-inversion detector in
+/// src/trace/ installs itself there — platform/ never includes upward.
+template <typename Node>
+class HeldList {
  public:
-  struct Entry {
-    const void* owner = nullptr;  ///< lock instance key
-    Node* node = nullptr;         ///< node enqueued for this acquisition
-    Node* aux = nullptr;          ///< CLH: predecessor node to adopt
-  };
-
-  /// Record an acquisition. The free-slot hint points at the most
-  /// recently vacated slot, so the un-nested cycle never scans.
-  /// Doubles as the hazard detectors' production feed: every node-based
-  /// lock records held-while-acquiring edges through the platform-owned
-  /// hazard_hook seam (one relaxed load when no detector is enabled,
-  /// the default). The lock-order-inversion detector in src/trace/
-  /// installs itself there — platform/ never includes upward.
-  Entry& insert(const void* owner, Node* node) {
-    if (hazard_hook::enabled()) hazard_hook::on_acquire(owner);
-    std::size_t i = free_hint_;
-    if (entries_[i].owner != nullptr) {
-      i = kMaxHeld;
-      for (std::size_t j = 0; j < kMaxHeld; ++j) {
-        if (entries_[j].owner == nullptr) {
-          i = j;
-          break;
-        }
-      }
-      if (i == kMaxHeld) {
-        detail::node_fatal("lock nesting depth exceeds HeldMap capacity");
-      }
-    }
-    Entry& e = entries_[i];
-    e.owner = owner;
-    e.node = node;
-    e.aux = nullptr;
-    last_ = i;
-    return e;
+  /// Prepare `n` to record an acquisition of `lock`. Call while `n` is
+  /// still private, before the RMW that publishes it, so recording a
+  /// hold never writes a line a waiter polls.
+  static void stamp(Node* n, const void* lock) noexcept {
+    n->held_lock = lock;
+    n->held_next = head();
   }
 
-  /// Find the entry for `owner`; the lock must be held by this thread.
-  /// O(1) when `owner` was the most recent insert (the uncontended
-  /// lock/unlock cycle and well-nested critical sections).
-  Entry& find(const void* owner) {
-    Entry& hint = entries_[last_];
-    if (hint.owner == owner) return hint;
-    for (std::size_t j = 0; j < kMaxHeld; ++j) {
-      if (entries_[j].owner == owner) {
-        last_ = j;
-        return entries_[j];
+  /// Record the stamped acquisition once it has succeeded.
+  static void push(Node* n) {
+    head() = n;
+    if (hazard_hook::enabled()) hazard_hook::on_acquire(n->held_lock);
+  }
+
+  /// Unlink and return the calling thread's node for `lock`; aborts
+  /// when the thread does not hold `lock`.
+  static Node* pop(const void* lock) {
+    Node** link = &head();
+    for (Node* n = *link; n != nullptr; link = &n->held_next, n = *link) {
+      if (n->held_lock == lock) {
+        *link = n->held_next;
+        if (hazard_hook::enabled()) hazard_hook::on_release(lock);
+        return n;
       }
     }
     detail::node_fatal("unlock of a lock this thread does not hold");
   }
 
-  /// Erase after release; the vacated slot becomes the next insert's
-  /// first candidate.
-  void erase(Entry& e) {
-    if (hazard_hook::enabled()) hazard_hook::on_release(e.owner);
-    e.owner = nullptr;
-    e.node = nullptr;
-    e.aux = nullptr;
-    free_hint_ = static_cast<std::size_t>(&e - entries_);
-  }
-
-  /// Access the calling thread's map for a given (Node, lock-type) pair.
-  static HeldMap& local() {
-    thread_local HeldMap map;
-    return map;
-  }
-
  private:
-  Entry entries_[kMaxHeld]{};
-  std::size_t last_ = 0;       ///< slot of the most recent insert/find
-  std::size_t free_hint_ = 0;  ///< slot of the most recent erase
+  static Node*& head() noexcept {
+    thread_local Node* newest = nullptr;
+    return newest;
+  }
 };
 
 }  // namespace qsv::platform

@@ -1,9 +1,9 @@
 // protocols.hpp — synchronization protocols ported to the simulator.
 //
 // Each port mirrors its real implementation line for line (compare
-// run_mcs with locks/mcs.hpp) but executes on sim::Machine, so the
-// figures report the interconnect traffic the 1991 paper measured on
-// real hardware. "Pointers" in simulated memory are processor/node ids
+// mcs_worker with core/qsv_mutex.hpp) but executes on sim::Machine, so
+// the figures report the interconnect traffic the 1991 paper measured
+// on real hardware. "Pointers" in simulated memory are processor/node ids
 // biased by +1 (0 = null).
 #pragma once
 

@@ -4,7 +4,7 @@
 // operations are awaitables supplied by sim::Machine: the coroutine
 // suspends at every access and the discrete-event engine resumes it when
 // the access completes, so protocol code reads almost exactly like its
-// real-hardware counterpart (compare protocols.cpp with locks/mcs.hpp).
+// real-hardware counterpart (compare protocols.cpp with core/qsv_mutex.hpp).
 #pragma once
 
 #include <coroutine>

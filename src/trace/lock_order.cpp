@@ -76,7 +76,7 @@ bool reachable(const Graph& g, const void* from, const void* to) {
 }  // namespace
 
 void lock_order_enable(bool on) noexcept {
-  // The HeldMap production feed reaches us through the platform-owned
+  // The held-chain production feed reaches us through the platform-owned
   // hazard_hook seam (platform/ cannot include trace/); publish the
   // callbacks before the enable flag so a feed that observes "enabled"
   // finds them installed.

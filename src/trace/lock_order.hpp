@@ -1,6 +1,6 @@
 // lock_order.hpp — the lock-acquisition-order hazard detector.
 //
-// The ROADMAP's observability layer calls for HeldMap-driven
+// The ROADMAP's observability layer calls for held-chain-driven
 // lock-order-inversion warnings; this is that detector, and it is also
 // one of the qsv::chk model checker's four property checkers. It keeps
 // a process-wide directed graph over lock instances — edge A -> B means
@@ -10,14 +10,15 @@
 // run never deadlocks.
 //
 // Feeds:
-//   * the per-thread HeldMap in platform/node_arena.hpp (every
-//     node-based production lock: qsv, mcs, clh, the cohort tiers) —
+//   * the per-thread held chain in platform/node_arena.hpp (every
+//     node-based production lock: qsv and its mcs rows, qsv-timeout,
+//     clh, the cohort tiers) —
 //     indirectly, through the platform-owned hazard_hook seam that this
 //     detector installs itself into on enable (platform/ must not
 //     include trace/; qsvlint's layering rule enforces the direction),
 //   * the chk checker's instrumented wrappers (every checked lock,
 //     including non-node locks like tas/ticket). chk::check() keeps
-//     the HeldMap feed off while it explores, so a node-based row is
+//     the held-chain feed off while it explores, so a node-based row is
 //     reported once, under the wrapper's name.
 //
 // Cost: one relaxed atomic load per acquisition when disabled (the
@@ -40,7 +41,7 @@ namespace qsv::trace {
 
 namespace detail {
 /// The enable flag, exposed so the per-acquisition fast path in
-/// HeldMap::insert is a single inlined relaxed load.
+/// HeldList::push is a single inlined relaxed load.
 extern std::atomic<bool> g_lock_order_enabled;
 }  // namespace detail
 

@@ -101,8 +101,8 @@ TEST(ChkMutants, AllCaughtAndReplayByteIdentical) {
 
 TEST(ChkDeadlock, AbBaReportsWaitsForCycleWithBothNames) {
   // tas feeds the lock-order detector only through the checked
-  // wrappers; qsv is node-based, so its HeldMap could feed it a second
-  // time, under the primitive's address, which has no name.
+  // wrappers; qsv is node-based, so its held chain could feed it a
+  // second time, under the primitive's address, which has no name.
   std::size_t tas_warnings = 0;
   for (const std::string name : {"tas", "qsv"}) {
     SCOPED_TRACE(name);

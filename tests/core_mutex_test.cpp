@@ -1,4 +1,6 @@
-// core_mutex_test.cpp — the QSV exclusive protocol.
+// core_mutex_test.cpp — the QSV exclusive protocol (MCS's list-based
+// queue lock). Its FIFO admission is locks_test's QsvMutex.FifoProperty,
+// its held chain locks_test's HeldChain suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -48,6 +50,21 @@ TEST(QsvMutex, TryLockSemantics) {
   m.unlock();
 }
 
+TEST(QsvMutex, TryLockContendedNeverBlocks) {
+  qc::QsvMutex lock;
+  lock.lock();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i) {
+    threads.emplace_back([&] {
+      if (!lock.try_lock()) failures.fetch_add(1);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 4);
+  lock.unlock();
+}
+
 TEST(QsvMutex, HoldsMultipleInstancesNonLifo) {
   qc::QsvMutex a, b, c;
   a.lock();
@@ -67,30 +84,6 @@ TEST(QsvMutex, GuardInterop) {
   }
   EXPECT_TRUE(m.try_lock());
   m.unlock();
-}
-
-TEST(QsvMutex, FifoHandoffOrder) {
-  // Serialize arrivals, then verify admission follows arrival order.
-  qc::QsvMutex m;
-  constexpr std::size_t kRounds = 500;
-  const std::size_t kTeam = qsv::test::capped_crew(4);
-  std::atomic<std::uint64_t> dispenser{0};
-  std::vector<std::uint64_t> admitted;
-  admitted.reserve(kTeam * kRounds);
-  qsv::harness::ThreadTeam::run(kTeam, [&](std::size_t) {
-    for (std::size_t i = 0; i < kRounds; ++i) {
-      const auto seq = dispenser.fetch_add(1);
-      m.lock();
-      admitted.push_back(seq);
-      m.unlock();
-    }
-  });
-  std::size_t violations = 0;
-  for (std::size_t i = 0; i < admitted.size(); ++i) {
-    const auto d = admitted[i] > i ? admitted[i] - i : i - admitted[i];
-    if (d > 64) ++violations;
-  }
-  EXPECT_LE(violations, admitted.size() / 200);
 }
 
 TEST(QsvMutex, TelemetryClassifiesAcquisitions) {

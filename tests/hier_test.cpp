@@ -65,8 +65,8 @@ TEST(BlockCohortMap, CohortCountCoversAllThreads) {
 
 TEST(BlockCohortMapDeathTest, ZeroBlockAbortsDeterministically) {
   // A zero block would make every cohort_of a divide-by-zero; release
-  // builds must abort with a diagnostic, not fall into UB (the
-  // HeldMap/node-layer precedent).
+  // builds must abort with a diagnostic, not fall into UB (the node
+  // layer's precedent).
   EXPECT_DEATH(qh::BlockCohortMap{0}, "cohort block must be at least 1");
 }
 

@@ -1,5 +1,5 @@
 // lock_order_test.cpp — the lock-order hazard detector in a normal
-// (non-chk) build, fed by the per-thread HeldMap of the node-based
+// (non-chk) build, fed by the per-thread held chain of the node-based
 // production locks: AB/BA across two qsv::mutex instances must warn
 // with both registered names; a consistent order must stay silent.
 #include <gtest/gtest.h>

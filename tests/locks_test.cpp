@@ -1,23 +1,30 @@
 // locks_test.cpp — per-algorithm properties of the baseline locks:
 // try_lock semantics, RAII interop, FIFO admission, several instances
-// held at once, the futex mutex's progress past the CPU count. Mutual
-// exclusion and progress for every catalogue row are validate_test's
-// exclusion battery.
+// held at once, the futex mutex's progress past the CPU count, and the
+// node layer's held chain (no nesting limit, unmatched unlocks abort)
+// under every lock that holds through it. Mutual exclusion and
+// progress for every catalogue row are validate_test's exclusion
+// battery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "battery.hpp"
 #include "harness/team.hpp"
 #include "catalog/catalog.hpp"
+#include "core/qsv_mutex.hpp"
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
 #include "locks/futex.hpp"
-#include "locks/mcs.hpp"
 #include "locks/tas.hpp"
 #include "locks/ticket.hpp"
+#include "qsv/cohort_mutex.hpp"
+#include "qsv/mutex.hpp"
 #include "workload/critical_section.hpp"
 
 namespace ql = qsv::locks;
@@ -39,30 +46,6 @@ TEST(TicketLock, TryLockSemantics) {
   EXPECT_FALSE(lock.try_lock());
   lock.unlock();
   EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-}
-
-TEST(McsLock, TryLockSemantics) {
-  ql::McsLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-}
-
-TEST(McsLock, TryLockContendedNeverBlocks) {
-  ql::McsLock lock;
-  lock.lock();
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&] {
-      if (!lock.try_lock()) failures.fetch_add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 4);
   lock.unlock();
 }
 
@@ -151,8 +134,8 @@ TEST(TicketLock, FifoProperty) {
   fifo_property(lock);
 }
 
-TEST(McsLock, FifoProperty) {
-  ql::McsLock lock;
+TEST(QsvMutex, FifoProperty) {
+  qsv::core::QsvMutex lock;
   fifo_property(lock);
 }
 
@@ -167,22 +150,6 @@ TEST(AndersonLock, FifoProperty) {
 }
 
 // ----------------------------------------------------- multiple instances
-
-TEST(McsLock, ThreadMayHoldSeveralLocksAtOnce) {
-  ql::McsLock a, b, c;
-  a.lock();
-  b.lock();
-  c.lock();
-  c.unlock();
-  b.unlock();
-  a.unlock();
-  // And in non-LIFO order:
-  a.lock();
-  b.lock();
-  a.unlock();
-  b.unlock();
-  SUCCEED();
-}
 
 TEST(ClhLock, ThreadMayHoldSeveralLocksAtOnce) {
   ql::ClhLock a, b;
@@ -202,6 +169,103 @@ TEST(ClhLock, ManyConstructDestroyCyclesDoNotLeakNodes) {
     lock.unlock();
   }
   SUCCEED();
+}
+
+// ------------------------------------------------------------ held chain
+//
+// A node-based lock finds its hold in the calling thread's chain of held
+// nodes (platform::HeldList): any depth, any release order, and an
+// unlock the thread does not hold aborts.
+
+namespace {
+
+constexpr std::size_t kHeld = 1000;
+
+/// Hold every lock at once, then release them in a seeded shuffled
+/// order; each must be free afterwards.
+template <typename Lock>
+void hold_all_release_shuffled(std::vector<Lock*> locks) {
+  for (Lock* l : locks) l->lock();
+  std::mt19937 rng(26);
+  std::shuffle(locks.begin(), locks.end(), rng);
+  for (Lock* l : locks) l->unlock();
+  for (Lock* l : locks) {
+    if constexpr (requires { l->try_lock(); }) {
+      ASSERT_TRUE(l->try_lock());
+      l->unlock();
+    } else {
+      l->lock();
+      l->unlock();
+    }
+  }
+}
+
+template <typename Lock>
+void hold_a_thousand() {
+  std::vector<Lock> locks(kHeld);
+  std::vector<Lock*> ptrs;
+  for (Lock& l : locks) ptrs.push_back(&l);
+  hold_all_release_shuffled(std::move(ptrs));
+}
+
+constexpr const char* kNotHeld = "unlock of a lock this thread does not hold";
+
+/// An unlock of a never-locked instance, and one from a thread that
+/// does not hold the lock, both abort with the node layer's message.
+template <typename Lock>
+void unmatched_unlocks_abort() {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Lock l;
+        l.unlock();
+      },
+      kNotHeld);
+  EXPECT_DEATH(
+      {
+        Lock l;
+        l.lock();
+        std::thread([&l] { l.unlock(); }).join();
+      },
+      kNotHeld);
+}
+
+}  // namespace
+
+TEST(HeldChain, HoldsAThousandMutexes) { hold_a_thousand<qsv::mutex>(); }
+
+TEST(HeldChain, HoldsAThousandTimedMutexes) {
+  hold_a_thousand<qsv::timed_mutex>();
+}
+
+TEST(HeldChain, HoldsAThousandCohortMutexes) {
+  hold_a_thousand<qsv::cohort_mutex>();
+}
+
+TEST(HeldChain, HoldsAThousandMcsRowLocks) {
+  const auto* e = qsv::catalog::find("mcs");
+  ASSERT_NE(e, nullptr);
+  std::vector<std::unique_ptr<qsv::catalog::AnyPrimitive>> locks;
+  std::vector<qsv::catalog::AnyPrimitive*> ptrs;
+  for (std::size_t i = 0; i < kHeld; ++i) {
+    locks.push_back(e->make(1));
+    ptrs.push_back(locks.back().get());
+  }
+  hold_all_release_shuffled(std::move(ptrs));
+}
+
+TEST(HeldChain, HoldsAThousandClhLocks) { hold_a_thousand<ql::ClhLock>(); }
+
+TEST(HeldChainDeathTest, MutexUnmatchedUnlockAborts) {
+  unmatched_unlocks_abort<qsv::mutex>();
+}
+
+TEST(HeldChainDeathTest, TimedMutexUnmatchedUnlockAborts) {
+  unmatched_unlocks_abort<qsv::timed_mutex>();
+}
+
+TEST(HeldChainDeathTest, ClhLockUnmatchedUnlockAborts) {
+  unmatched_unlocks_abort<ql::ClhLock>();
 }
 
 // ------------------------------------------------------ oversubscription

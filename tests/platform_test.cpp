@@ -411,29 +411,35 @@ TEST(NodeArena, DistinctWhileHeld) {
   arena.release(b);
 }
 
-TEST(HeldMap, InsertFindErase) {
-  auto& map = qp::HeldMap<TestNode>::local();
-  int key1 = 0, key2 = 0;
-  TestNode n1, n2;
-  auto& e1 = map.insert(&key1, &n1);
-  auto& e2 = map.insert(&key2, &n2);
-  EXPECT_EQ(map.find(&key1).node, &n1);
-  EXPECT_EQ(map.find(&key2).node, &n2);
-  map.erase(e1);
-  EXPECT_EQ(map.find(&key2).node, &n2);
-  map.erase(e2);
-}
-
-TEST(HeldMap, SupportsNestedHolds) {
-  auto& map = qp::HeldMap<TestNode>::local();
-  std::vector<int> keys(16);
-  std::vector<TestNode> nodes(16);
-  for (int i = 0; i < 16; ++i) map.insert(&keys[i], &nodes[i]);
-  for (int i = 15; i >= 0; --i) {
-    auto& e = map.find(&keys[i]);
-    EXPECT_EQ(e.node, &nodes[i]);
-    map.erase(e);
+// The held chain: holds link through their own nodes, a LIFO pop finds
+// its node at the head, and an out-of-order pop unlinks from the middle.
+TEST(HeldList, NestedAndOutOfOrderPops) {
+  struct ChainNode {
+    const void* held_lock = nullptr;
+    ChainNode* held_next = nullptr;
+  };
+  using Held = qp::HeldList<ChainNode>;
+  constexpr int kHolds = 6;
+  int keys[kHolds] = {};
+  ChainNode nodes[kHolds];
+  for (int i = 0; i < kHolds; ++i) {
+    Held::stamp(&nodes[i], &keys[i]);
+    Held::push(&nodes[i]);
+    EXPECT_EQ(nodes[i].held_next, i == 0 ? nullptr : &nodes[i - 1]);
   }
+  // Out of order: a middle hold relinks its newer neighbour past it,
+  // then the oldest hold leaves the tail.
+  EXPECT_EQ(Held::pop(&keys[2]), &nodes[2]);
+  EXPECT_EQ(nodes[3].held_next, &nodes[1]);
+  EXPECT_EQ(Held::pop(&keys[0]), &nodes[0]);
+  EXPECT_EQ(nodes[1].held_next, nullptr);
+  // Nested: the rest leave in LIFO order.
+  for (const int i : {5, 4, 3, 1}) EXPECT_EQ(Held::pop(&keys[i]), &nodes[i]);
+  // The drained chain takes new holds.
+  Held::stamp(&nodes[0], &keys[0]);
+  EXPECT_EQ(nodes[0].held_next, nullptr);
+  Held::push(&nodes[0]);
+  EXPECT_EQ(Held::pop(&keys[0]), &nodes[0]);
 }
 
 // The single-slot fast cache must make the steady-state acquire/release
@@ -518,40 +524,6 @@ TEST(NodeArena, CrossThreadRecyclingStaysBounded) {
   // uncapped cache grows by kBatch every round (32,000 here).
   EXPECT_LE(arena.allocated() - before,
             Arena::kLocalCap + 2 * kBatch + Arena::kLocalCap / 2);
-}
-
-// The uncontended lock/unlock pattern — insert then immediately find and
-// erase the same owner — must hit the hints, including after the slot has
-// been vacated and re-used many times.
-TEST(HeldMap, LockUnlockCycleReusesOneSlot) {
-  qp::HeldMap<TestNode> map;  // fresh map: slot layout is observable
-  int key = 0;
-  TestNode node;
-  qp::HeldMap<TestNode>::Entry* first = nullptr;
-  for (int i = 0; i < 1000; ++i) {
-    auto& e = map.insert(&key, &node);
-    if (first == nullptr) first = &e;
-    EXPECT_EQ(&e, first);  // free-slot hint returns the vacated slot
-    EXPECT_EQ(&map.find(&key), first);  // last-acquired hint hits
-    map.erase(e);
-  }
-}
-
-TEST(HeldMap, HintSurvivesInterleavedOwners) {
-  qp::HeldMap<TestNode> map;
-  int key1 = 0, key2 = 0;
-  TestNode n1, n2;
-  auto& e1 = map.insert(&key1, &n1);
-  auto& e2 = map.insert(&key2, &n2);
-  // Non-LIFO order: hints miss, the scan fallback must still be correct.
-  EXPECT_EQ(map.find(&key1).node, &n1);
-  map.erase(e1);
-  EXPECT_EQ(map.find(&key2).node, &n2);
-  map.erase(e2);
-  // After full drain the next insert reuses a vacated slot.
-  auto& e3 = map.insert(&key1, &n1);
-  EXPECT_EQ(map.find(&key1).node, &n1);
-  map.erase(e3);
 }
 
 // -------------------------------------------------------------- timing

@@ -17,7 +17,6 @@
 #include "harness/team.hpp"
 #include "hier/cohort_lock.hpp"
 #include "hier/cohort_map.hpp"
-#include "locks/mcs.hpp"
 #include "locks/ticket.hpp"
 #include "obs/hook.hpp"
 #include "obs/registry.hpp"
@@ -343,13 +342,6 @@ TEST(CohortLock, BudgetBoundsLocalPassStreaksQsvQsv) {
   streak_battery(lock, kBudget);
 }
 
-TEST(CohortLock, BudgetBoundsLocalPassStreaksMcsMcs) {
-  constexpr std::size_t kBudget = 4;
-  Counting<qsv::locks::McsLock, qsv::locks::McsLock> lock(
-      kBudget, qsv::get_default_wait_policy(), qh::BlockCohortMap(4));
-  streak_battery(lock, kBudget);
-}
-
 TEST(CohortLock, BudgetBoundsLocalPassStreaksQsvTicket) {
   constexpr std::size_t kBudget = 4;
   Counting<qsv::core::QsvMutex, qsv::locks::TicketLock> lock(
@@ -437,8 +429,7 @@ TEST(CohortLock, UncontendedAcquireReleaseRepeats) {
 }
 
 TEST(CohortLock, TwoInstancesAreIndependent) {
-  qh::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex> a;
-  qh::CohortLock<qsv::locks::McsLock, qsv::locks::McsLock> b;
+  qh::CohortLock<qsv::core::QsvMutex, qsv::core::QsvMutex> a, b;
   a.lock();
   b.lock();
   b.unlock();

@@ -2,7 +2,7 @@
 // Must-stay-quiet: catalog (rank 3) including primitives and platform
 // (lower ranks), plus the api-common vocabulary header.
 #include "core/qsv_mutex.hpp"
-#include "locks/mcs.hpp"
+#include "locks/clh.hpp"
 #include "platform/arch.hpp"
 #include "qsv/wait.hpp"
 

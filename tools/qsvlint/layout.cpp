@@ -11,7 +11,7 @@
 // failure with the struct named, not a 2x perf mystery in a bench run
 // three PRs later.
 //
-// Private nested types (McsLock::Node, FcExecutor::Record) are reached
+// Private nested types (QsvMutex::Node, FcExecutor::Record) are reached
 // through the qsv::platform::LayoutAuditAccess friend struct that the
 // generated TU defines; the owning classes befriend it precisely so
 // the audit can see them without widening their real API.
@@ -23,16 +23,29 @@ namespace qsvlint {
 
 namespace {
 
-/// The one-line layout QsvMutex, QsvTimeoutMutex and McsLock share:
-/// one 64-byte, 64-byte-aligned object holding the lock word, its
-/// Tally, the LockRec and the RuntimeWait (obs/hook.hpp). Unguarded,
-/// so it holds under both QSV_OBS arms.
+/// The one-line layout QsvMutex and QsvTimeoutMutex share: one
+/// 64-byte, 64-byte-aligned object holding the lock word, its Tally,
+/// the LockRec and the RuntimeWait (obs/hook.hpp). Unguarded, so it
+/// holds under both QSV_OBS arms.
 LayoutEntry one_line(const std::string& header, const std::string& type) {
   return {header,
           type,
           {"std::is_standard_layout_v<" + type + ">",
            "sizeof(" + type + ") == qsv::platform::kCacheLine",
            "alignof(" + type + ") == qsv::platform::kCacheLine"}};
+}
+
+/// A queue node's fields (the protocol flag, what its owner's release
+/// reads, the held-chain links) fit one cache line, so an uncontended
+/// cycle touches one node line; in the arena the node fills exactly one
+/// line pair.
+LayoutEntry one_node(const std::string& header, const std::string& node) {
+  const std::string padded = "qsv::platform::Padded<" + node + ">";
+  return {header,
+          node,
+          {"sizeof(" + node + ") <= qsv::platform::kCacheLine",
+           "sizeof(" + padded + ") == qsv::platform::kFalseSharingRange",
+           "alignof(" + padded + ") == qsv::platform::kFalseSharingRange"}};
 }
 
 }  // namespace
@@ -55,16 +68,9 @@ const std::vector<LayoutEntry>& layout_entries() {
        "qsv::platform::StripedCounter<16>",
        {"sizeof(qsv::platform::StripedCounter<16>) >= "
         "16 * qsv::platform::kFalseSharingRange"}},
-      {"src/locks/mcs.hpp", "qsv::locks::McsLock::Node",
-       {"sizeof(qsv::platform::Padded<qsv::locks::McsLock::Node>) == "
-        "qsv::platform::kFalseSharingRange",
-        "alignof(qsv::platform::Padded<qsv::locks::McsLock::Node>) == "
-        "qsv::platform::kFalseSharingRange"}},
-      {"src/locks/clh.hpp", "qsv::locks::ClhLock::Node",
-       {"sizeof(qsv::platform::Padded<qsv::locks::ClhLock::Node>) == "
-        "qsv::platform::kFalseSharingRange",
-        "alignof(qsv::platform::Padded<qsv::locks::ClhLock::Node>) == "
-        "qsv::platform::kFalseSharingRange"}},
+      one_node("src/core/qsv_mutex.hpp", "qsv::core::QsvMutex::Node"),
+      one_node("src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex::Node"),
+      one_node("src/locks/clh.hpp", "qsv::locks::ClhLock::Node"),
       // The queue locks are one 64-byte line each (obs/hook.hpp). A
       // handoff reads none of it, so nothing here pins field offsets;
       // the LockRec bound keeps the registry's fields (list links, the
@@ -72,7 +78,6 @@ const std::vector<LayoutEntry>& layout_entries() {
       // the instance.
       one_line("src/core/qsv_mutex.hpp", "qsv::core::QsvMutex"),
       one_line("src/core/qsv_timeout.hpp", "qsv::core::QsvTimeoutMutex"),
-      one_line("src/locks/mcs.hpp", "qsv::locks::McsLock"),
       {"src/obs/hook.hpp",
        "qsv::obs::LockRec",
        {"sizeof(qsv::obs::LockRec) <= 24"},
