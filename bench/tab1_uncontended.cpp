@@ -75,15 +75,6 @@ qsv::benchreg::Report run(const qsv::benchreg::Params& params) {
     lock_row("qsv", l);
   }
   {
-    // Steady-state cycle after warm-up: runs entirely out of the arena's
-    // thread-local fast slot, and the unlock finds its node at the head
-    // of the held chain — no allocation, no vector ops, no walk.
-    qsv::core::QsvMutex l;
-    l.lock();
-    l.unlock();
-    lock_row("qsv (steady-state)", l);
-  }
-  {
     qsv::core::QsvTimeoutMutex l;
     lock_row("qsv-timeout", l);
   }

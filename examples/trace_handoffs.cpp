@@ -11,18 +11,16 @@
 // the contended count, handoffs and wait quantiles come from the lock's
 // telemetry() record, the one the introspection endpoint serves.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
-#include <thread>
 #include <vector>
 
+#include "benchreg/stats.hpp"
 #include "core/qsv_mutex.hpp"
 #include "harness/team.hpp"
 #include "locks/ttas.hpp"
 #include "platform/affinity.hpp"
-#include "platform/arch.hpp"
 #include "platform/stats.hpp"
 
 namespace {
@@ -37,20 +35,16 @@ bool run(const char* label, std::size_t threads) {
   std::vector<std::uint64_t> shares(threads, 0);
   std::uint64_t acquisitions = 0, self_handoffs = 0;  // guarded by lock
   std::size_t last_holder = threads;                  // guarded by lock
-  qsv::harness::StopFlag stop;
-  std::jthread timer([&] {
-    qsv::platform::thread_sleep(std::chrono::milliseconds(200));
-    stop.request();
-  });
+  qsv::benchreg::DeadlineStop clock(0.2);
   qsv::harness::ThreadTeam::run(threads, [&](std::size_t rank) {
     std::uint64_t mine = 0;
-    while (!stop.requested()) {
+    while (!clock.stop()) {
       lock.lock();
       ++acquisitions;
       if (last_holder == rank) ++self_handoffs;
       last_holder = rank;
       lock.unlock();
-      ++mine;
+      clock.poll(rank, ++mine);
     }
     shares[rank] = mine;
   });

@@ -109,4 +109,9 @@ static_assert(
 static_assert(std::is_constructible_v<std::unique_lock<timed_mutex>,
                                       timed_mutex&, std::chrono::milliseconds>);
 
+// Telemetry and the wait policy live inside the lock's one line without
+// growing it.
+static_assert(sizeof(mutex) == platform::kCacheLine);
+static_assert(sizeof(timed_mutex) == platform::kCacheLine);
+
 }  // namespace qsv

@@ -79,9 +79,6 @@ static const qsv::catalog::Registrar qsv_cat_reg_gt{[] {
     return qsv::catalog::wrap<qsv::locks::GraunkeThakkarLock>(
         qsv::platform::kMaxThreads);
   };
-  e.make = [mw = e.make_with](std::size_t capacity) {
-    return mw(capacity, qsv::get_default_wait_policy());
-  };
   return e;
 }()};
 QSV_CATALOG_REGISTER(qsv::locks::ClhLock, "clh");

@@ -31,7 +31,7 @@ void register_entry(Entry e) {
       std::abort();
     }
   }
-  if (!e.make || !e.make_with) {
+  if (!e.make_with) {
     std::fprintf(stderr, "qsv::catalog: entry '%s' has no factory\n",
                  e.name.c_str());
     std::abort();

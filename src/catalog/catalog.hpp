@@ -51,8 +51,6 @@ struct Entry {
   Family family = Family::kLock;
   std::uint32_t caps = 0;  ///< OR of Capability bits, derived from the type
   std::size_t footprint = 0;  ///< sizeof(concrete type)
-  /// Construct at the process-default qsv::wait_policy.
-  std::function<std::unique_ptr<AnyPrimitive>(std::size_t capacity)> make;
   /// Construct at an explicit policy (ignored without wait-mode bits).
   std::function<std::unique_ptr<AnyPrimitive>(std::size_t capacity,
                                               qsv::wait_policy policy)>
@@ -64,6 +62,11 @@ struct Entry {
   std::function<std::unique_ptr<AnyPrimitive>(
       std::size_t capacity, qsv::wait_policy policy, std::size_t budget)>
       make_budgeted;
+
+  /// Construct at the process-default qsv::wait_policy.
+  std::unique_ptr<AnyPrimitive> make(std::size_t capacity) const {
+    return make_with(capacity, qsv::get_default_wait_policy());
+  }
 
   /// True when every capability in `mask` is present.
   bool has(std::uint32_t mask) const { return (caps & mask) == mask; }
@@ -107,16 +110,6 @@ std::unique_ptr<AnyPrimitive> construct(std::size_t capacity,
   }
 }
 
-/// Attach both factories to an entry.
-template <typename T>
-void attach_factories(Entry& e) {
-  e.make_with = [](std::size_t capacity, qsv::wait_policy policy) {
-    return construct<T>(capacity, policy);
-  };
-  e.make = [](std::size_t capacity) {
-    return construct<T>(capacity, qsv::get_default_wait_policy());
-  };
-}
 }  // namespace detail
 
 /// Build an Entry for a concrete primitive type. Capabilities and
@@ -140,7 +133,9 @@ Entry entry(std::string name) {
                 "ambiguous construction: the size_t parameter may not mean "
                 "capacity — use entry_default<T>() or an explicit factory");
   Entry e = detail::tagged_entry<T>(std::move(name));
-  detail::attach_factories<T>(e);
+  e.make_with = [](std::size_t capacity, qsv::wait_policy policy) {
+    return detail::construct<T>(capacity, policy);
+  };
   return e;
 }
 
@@ -163,18 +158,15 @@ Entry entry_default(std::string name) {
       return std::make_unique<Erased<T>>();
     }
   };
-  e.make = [mw = e.make_with](std::size_t capacity) {
-    return mw(capacity, qsv::get_default_wait_policy());
-  };
   return e;
 }
 
 /// As entry(), for cohort combinator types (CohortLock instantiations):
 /// their size_t constructor parameter is the local-handoff *budget*,
 /// never a capacity, so the capacity-construction rule of entry() must
-/// not apply. All three factories are wired: make_budgeted exposes the
+/// not apply. Both factories are wired: make_budgeted exposes the
 /// budget axis (the fig10 sweep), make_with constructs at the type's
-/// kDefaultBudget, make additionally uses the process wait policy.
+/// kDefaultBudget (and make, as always, at the process wait policy).
 /// `map` is the cohort map every instance is built with; without one,
 /// each instance builds its type's default map when it is constructed.
 template <typename T, typename... Map>
@@ -192,9 +184,6 @@ Entry entry_cohort(std::string name, Map... map) {
   e.make_with = [mb = e.make_budgeted](std::size_t capacity,
                                        qsv::wait_policy policy) {
     return mb(capacity, policy, T::kDefaultBudget);
-  };
-  e.make = [mw = e.make_with](std::size_t capacity) {
-    return mw(capacity, qsv::get_default_wait_policy());
   };
   return e;
 }

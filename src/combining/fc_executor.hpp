@@ -247,8 +247,6 @@ class FcExecutor {
   static constexpr const char* name() noexcept { return "fc"; }
 
  private:
-  friend struct qsv::platform::LayoutAuditAccess;
-
   enum : std::uint32_t { kIdle = 0, kPosted = 1 };
 
   /// One publication record. Line-aligned via Padded storage; owned by
@@ -262,6 +260,12 @@ class FcExecutor {
     std::atomic<bool> enlisted{false};
     std::atomic<std::uint64_t> last_active{0};  ///< tenure of last use
   };
+  static_assert(sizeof(qsv::platform::Padded<Record>) ==
+                    qsv::platform::kFalseSharingRange,
+                "FcExecutor::Record's slot is not one line pair");
+  static_assert(alignof(qsv::platform::Padded<Record>) ==
+                    qsv::platform::kFalseSharingRange,
+                "FcExecutor::Record's slot is not line-pair aligned");
 
   /// Records for one run of kChunkSlots consecutive thread indices.
   /// A slot is touched only by the thread holding its index.

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "obs/hook.hpp"
 #include "platform/arch.hpp"
@@ -136,8 +137,6 @@ class QsvMutex {
   const qsv::obs::LockRec* telemetry() const noexcept { return rec_.get(); }
 
  private:
-  friend struct qsv::platform::LayoutAuditAccess;
-
   static constexpr std::uint32_t kWaiting = 0;
   static constexpr std::uint32_t kGranted = 1;
 
@@ -156,6 +155,16 @@ class QsvMutex {
     const void* held_lock = nullptr;
     Node* held_next = nullptr;
   };
+  // A node's fields fit one cache line, so an uncontended cycle touches
+  // one node line; in the arena a node fills exactly one line pair.
+  static_assert(sizeof(Node) <= qsv::platform::kCacheLine,
+                "QsvMutex::Node outgrew one cache line");
+  static_assert(sizeof(qsv::platform::Padded<Node>) ==
+                    qsv::platform::kFalseSharingRange,
+                "QsvMutex::Node's arena slot is not one line pair");
+  static_assert(alignof(qsv::platform::Padded<Node>) ==
+                    qsv::platform::kFalseSharingRange,
+                "QsvMutex::Node's arena slot is not line-pair aligned");
   using Arena = qsv::platform::NodeArena<Node>;
   using Held = qsv::platform::HeldList<Node>;
 
@@ -187,7 +196,7 @@ class QsvMutex {
   // One 64-byte line: the lock word, its tallies, rec_ (kind, cold-block
   // pointer, registry slot) and waiter_. Every arrival's exchange takes
   // the line, so a handoff reads none of it: the queue nodes carry what
-  // a release needs (Node). qsvlint's layout audit pins the size.
+  // a release needs (Node). The asserts below the class pin the line.
 
   /// The synchronization variable itself: queue tail, null when free.
   alignas(qsv::platform::kCacheLine) std::atomic<Node*> var_{nullptr};
@@ -201,5 +210,9 @@ class QsvMutex {
   /// How this instance's blocked threads wait (and are woken).
   qsv::platform::RuntimeWait waiter_;
 };
+
+static_assert(std::is_standard_layout_v<QsvMutex>);
+static_assert(sizeof(QsvMutex) == qsv::platform::kCacheLine);
+static_assert(alignof(QsvMutex) == qsv::platform::kCacheLine);
 
 }  // namespace qsv::core

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 
 #include "obs/hook.hpp"
 #include "platform/arch.hpp"
@@ -129,8 +130,6 @@ class QsvTimeoutMutex {
   const qsv::obs::LockRec* telemetry() const noexcept { return rec_.get(); }
 
  private:
-  friend struct qsv::platform::LayoutAuditAccess;
-
   static constexpr std::uint32_t kWaiting = 0;
   static constexpr std::uint32_t kReleased = 1;
   static constexpr std::uint32_t kAbandoned = 2;
@@ -151,6 +150,15 @@ class QsvTimeoutMutex {
     const void* held_lock = nullptr;
     Node* held_next = nullptr;
   };
+  // As QsvMutex::Node: one cache line of fields, one arena line pair.
+  static_assert(sizeof(Node) <= qsv::platform::kCacheLine,
+                "QsvTimeoutMutex::Node outgrew one cache line");
+  static_assert(sizeof(qsv::platform::Padded<Node>) ==
+                    qsv::platform::kFalseSharingRange,
+                "QsvTimeoutMutex::Node's arena slot is not one line pair");
+  static_assert(alignof(qsv::platform::Padded<Node>) ==
+                    qsv::platform::kFalseSharingRange,
+                "QsvTimeoutMutex::Node's arena slot is not line-pair aligned");
   using Arena = qsv::platform::NodeArena<Node>;
   using Held = qsv::platform::HeldList<Node>;
 
@@ -238,7 +246,7 @@ class QsvTimeoutMutex {
   static constexpr std::uint32_t kPollsPerClock = 64;
 
   // QsvMutex's one 64-byte line: the lock word, its tallies, rec_ and
-  // waiter_ (qsvlint's layout audit pins the size).
+  // waiter_ (pinned below the class).
 
   alignas(qsv::platform::kCacheLine) std::atomic<Node*> var_;
   /// Holder-owned tallies on var_'s line.
@@ -250,5 +258,9 @@ class QsvTimeoutMutex {
   /// How this instance's blocked threads wait (and are woken).
   qsv::platform::RuntimeWait waiter_;
 };
+
+static_assert(std::is_standard_layout_v<QsvTimeoutMutex>);
+static_assert(sizeof(QsvTimeoutMutex) == qsv::platform::kCacheLine);
+static_assert(alignof(QsvTimeoutMutex) == qsv::platform::kCacheLine);
 
 }  // namespace qsv::core

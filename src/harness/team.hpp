@@ -54,20 +54,4 @@ class ThreadTeam {
   }
 };
 
-/// Cooperative stop flag for duration-bounded runs: workers loop
-/// `while (!stop.requested())`, the harness arms a timer thread.
-class StopFlag {
- public:
-  bool requested() const noexcept {
-    // relaxed: stop flag — workers need only eventual visibility, and
-    // results are read after the join.
-    return flag_.load(std::memory_order_relaxed);
-  }
-  void request() noexcept { flag_.store(true, std::memory_order_relaxed); }   // relaxed: as above
-  void reset() noexcept { flag_.store(false, std::memory_order_relaxed); }    // relaxed: as above
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
 }  // namespace qsv::harness

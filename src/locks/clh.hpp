@@ -85,14 +85,21 @@ class ClhLock {
   const qsv::obs::LockRec* telemetry() const noexcept { return rec_.get(); }
 
  private:
-  friend struct qsv::platform::LayoutAuditAccess;
-
   struct Node {
     std::atomic<std::uint32_t> released{0};
     /// The held chain (platform::HeldList): the owner's alone.
     const void* held_lock = nullptr;
     Node* held_next = nullptr;
   };
+  // The flag a successor spins on owns its line pair in the arena.
+  static_assert(sizeof(Node) <= qsv::platform::kCacheLine,
+                "ClhLock::Node outgrew one cache line");
+  static_assert(sizeof(qsv::platform::Padded<Node>) ==
+                    qsv::platform::kFalseSharingRange,
+                "ClhLock::Node's arena slot is not one line pair");
+  static_assert(alignof(qsv::platform::Padded<Node>) ==
+                    qsv::platform::kFalseSharingRange,
+                "ClhLock::Node's arena slot is not line-pair aligned");
   using Arena = qsv::platform::NodeArena<Node>;
   using Held = qsv::platform::HeldList<Node>;
 

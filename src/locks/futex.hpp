@@ -96,4 +96,7 @@ class FutexMutex {
   qsv::platform::RuntimeWait waiter_{qsv::wait_policy::park};
 };
 
+// The RuntimeWait shares the state word's line.
+static_assert(sizeof(FutexMutex) == qsv::platform::kFalseSharingRange);
+
 }  // namespace qsv::locks

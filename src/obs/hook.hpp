@@ -495,6 +495,10 @@ class LockRec {
   std::uint32_t kind_ = 0;
 };
 
+// The registry's fields (list links, the reader, the instance, the kind
+// name) stay out of the record, so it fits the lock's one line.
+static_assert(sizeof(LockRec) <= 24);
+
 /// Reader for primitives whose tallies are one member (`&P::tally_`).
 template <typename P, typename T>
 P owner_of(T P::*);

@@ -6,7 +6,9 @@
 // make that property easy to state in types.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -16,12 +18,6 @@
 #include "platform/arch.hpp"
 
 namespace qsv::platform {
-
-/// Friend hook for the generated false-sharing layout audit
-/// (`qsvlint --gen-layout`): hot structs whose node/record types are
-/// private befriend this so the audit TU can static_assert on them
-/// without widening any real API.
-struct LayoutAuditAccess;
 
 /// A `T` padded out to its own cache-line pair so that arrays of
 /// `Padded<T>` exhibit no false sharing between adjacent elements.
@@ -44,6 +40,16 @@ struct alignas(kFalseSharingRange) Padded {
 
 static_assert(alignof(Padded<char>) == kFalseSharingRange);
 static_assert(sizeof(Padded<char>) >= kFalseSharingRange);
+// The padded counter words (stripes, per-thread tallies): one per line
+// pair, so an array of them never puts two on one coherence unit.
+static_assert(alignof(Padded<std::atomic<std::uint64_t>>) ==
+              kFalseSharingRange);
+static_assert(sizeof(Padded<std::atomic<std::uint64_t>>) %
+                  kFalseSharingRange == 0);
+static_assert(alignof(Padded<std::atomic<std::int64_t>>) ==
+              kFalseSharingRange);
+static_assert(sizeof(Padded<std::atomic<std::int64_t>>) >=
+              kFalseSharingRange);
 
 /// Fixed-size array of per-thread slots, each on its own line pair.
 /// Allocated once at construction; never resized (resizing would move

@@ -90,4 +90,7 @@ class StripedCounter {
   Padded<std::atomic<std::int64_t>> slots_[kStripes]{};
 };
 
+// One stripe per line pair: the whole point of striping.
+static_assert(sizeof(StripedCounter<16>) >= 16 * kFalseSharingRange);
+
 }  // namespace qsv::platform

@@ -28,7 +28,7 @@ TEST(Catalog, FindReturnsNullptrOnMiss) {
   EXPECT_EQ(qc::find("QSV"), nullptr);    // case-sensitive
   const qc::Entry* hit = qc::find("qsv");
   ASSERT_NE(hit, nullptr);
-  ASSERT_TRUE(hit->make);  // a hit always carries a usable factory
+  ASSERT_TRUE(hit->make_with);  // a hit always carries a usable factory
   EXPECT_NE(hit->make(2), nullptr);
 }
 
@@ -215,7 +215,7 @@ TEST(Catalog, NamesAreUniqueAndFamiliesConsistent) {
     EXPECT_TRUE(seen.insert(e.name).second) << "duplicate: " << e.name;
     EXPECT_EQ(e.family, qc::family_of(e.caps)) << e.name;
     EXPECT_GT(e.footprint, 0u) << e.name;
-    ASSERT_TRUE(e.make) << e.name;
+    ASSERT_TRUE(e.make_with) << e.name;
   }
 }
 

@@ -20,8 +20,8 @@ medians of the runs:
     much as the two tally load/store pairs cost (measured 1.20-1.37x on
     a shared 4-core host), so a 1.25x gate would fail at random. The
     extra-line regression this arm would show — tallies moved off the
-    lock word's line — fails the build instead: qsvlint's layout audit
-    pins QsvMutex's tallies to that line.
+    lock word's line — fails the build instead: the static_asserts
+    beside QsvMutex pin it, tallies included, to one 64-byte line.
 
 Prints one row per arm and exits 1 when the hot arm breaches.
 """

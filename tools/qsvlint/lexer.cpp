@@ -1,11 +1,9 @@
-// lexer.cpp — comment/string-aware line lexing, findings serialization,
-// and the baseline mechanism.
+// lexer.cpp — comment/string-aware line lexing and findings
+// serialization.
 #include "qsvlint/qsvlint.hpp"
 
 #include <cctype>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 namespace qsvlint {
 
@@ -199,72 +197,6 @@ void json_escape(const std::string& s, std::string& out) {
   }
 }
 
-/// Minimal scanner for the documents findings_to_json emits (and any
-/// JSON with the same shape). Not a general-purpose parser.
-struct JsonScan {
-  std::string_view s;
-  std::size_t i = 0;
-
-  void ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' ||
-                            s[i] == '\r' || s[i] == ','))
-      ++i;
-  }
-  bool lit(char c) {
-    ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool string(std::string& out) {
-    ws();
-    if (i >= s.size() || s[i] != '"') return false;
-    ++i;
-    out.clear();
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) {
-        ++i;
-        switch (s[i]) {
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            // We only emit \u00xx for control bytes; decode that range.
-            if (i + 4 < s.size()) {
-              unsigned v = 0;
-              std::sscanf(std::string(s.substr(i + 1, 4)).c_str(), "%4x", &v);
-              out.push_back(static_cast<char>(v));
-              i += 4;
-            }
-            break;
-          }
-          default: out.push_back(s[i]);
-        }
-      } else {
-        out.push_back(s[i]);
-      }
-      ++i;
-    }
-    if (i >= s.size()) return false;
-    ++i;  // closing quote
-    return true;
-  }
-  bool number(std::size_t& out) {
-    ws();
-    std::size_t start = i;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
-      ++i;
-    if (i == start) return false;
-    out = 0;
-    for (std::size_t k = start; k < i; ++k) {
-      out = out * 10 + static_cast<std::size_t>(s[k] - '0');
-    }
-    return true;
-  }
-};
-
 }  // namespace
 
 std::string findings_to_json(const std::vector<Finding>& findings) {
@@ -285,95 +217,9 @@ std::string findings_to_json(const std::vector<Finding>& findings) {
   return out;
 }
 
-bool findings_from_json(std::string_view json, std::vector<Finding>& out) {
-  JsonScan j{json};
-  std::vector<Finding> parsed;
-  if (!j.lit('{')) return false;
-  std::string key, val;
-  bool saw_version = false, saw_findings = false;
-  while (true) {
-    j.ws();
-    if (j.i >= j.s.size()) return false;
-    if (j.s[j.i] == '}') break;
-    if (!j.string(key) || !j.lit(':')) return false;
-    if (key == "version") {
-      if (!j.string(val) || val != "qsvlint/1") return false;
-      saw_version = true;
-    } else if (key == "findings") {
-      if (!j.lit('[')) return false;
-      saw_findings = true;
-      while (true) {
-        j.ws();
-        if (j.i >= j.s.size()) return false;
-        if (j.s[j.i] == ']') {
-          ++j.i;
-          break;
-        }
-        if (!j.lit('{')) return false;
-        Finding f;
-        while (true) {
-          j.ws();
-          if (j.i >= j.s.size()) return false;
-          if (j.s[j.i] == '}') {
-            ++j.i;
-            break;
-          }
-          std::string k2;
-          if (!j.string(k2) || !j.lit(':')) return false;
-          if (k2 == "line") {
-            if (!j.number(f.line)) return false;
-          } else {
-            std::string v2;
-            if (!j.string(v2)) return false;
-            if (k2 == "file") f.file = v2;
-            else if (k2 == "rule") f.rule = v2;
-            else if (k2 == "message") f.message = v2;
-            else return false;
-          }
-        }
-        parsed.push_back(std::move(f));
-      }
-    } else {
-      return false;
-    }
-  }
-  if (!saw_version || !saw_findings) return false;
-  out = std::move(parsed);
-  return true;
-}
-
 std::string finding_to_text(const Finding& f) {
   return f.file + ":" + std::to_string(f.line) + ": [" + f.rule + "] " +
          f.message;
-}
-
-// --------------------------------------------------------------- baseline
-
-bool load_baseline(const std::string& path, std::vector<std::string>& keys) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.pop_back();
-    }
-    if (line.empty() || line[0] == '#') continue;
-    keys.push_back(line);
-  }
-  return true;
-}
-
-std::size_t apply_baseline(std::vector<Finding>& findings,
-                           const std::vector<std::string>& keys) {
-  std::size_t before = findings.size();
-  std::erase_if(findings, [&](const Finding& f) {
-    const std::string k = f.key();
-    for (const std::string& b : keys) {
-      if (b == k) return true;
-    }
-    return false;
-  });
-  return before - findings.size();
 }
 
 }  // namespace qsvlint

@@ -10,7 +10,7 @@
 // plus a table of rules over the lexed lines. No LLVM libraries, no
 // compile database: the whole tool builds in well under a second and
 // runs over the tree in milliseconds, which is what lets CI and ctest
-// carry it with a permanently empty baseline.
+// fail on any finding.
 //
 // The rules (see rules.cpp for the table, DESIGN.md "Static
 // discipline" for the rationale):
@@ -22,15 +22,11 @@
 //                    chk_hook stay unreachable from production layers
 //   capability       facade types with lock()/unlock() must be
 //                    QSV_CAPABILITY-annotated
-//   layout           the registered hot structs' layout-audit TU is
-//                    generatable and its headers exist
 //   cas-recycle      a compare_exchange on a node field outside a retry
 //                    loop has an acquire failure order
 //
-// Findings are machine-readable (to_json/findings_from_json round-trip,
-// used by tests and any future dashboard). --baseline suppresses listed
-// findings; the committed baseline is empty and the project intends to
-// keep it that way — fix the tree, don't suppress it.
+// Findings are machine-readable (`--json`, a "qsvlint/1" document). There
+// is no suppression list: a finding is fixed in the tree.
 #pragma once
 
 #include <cstddef>
@@ -47,22 +43,10 @@ struct Finding {
   std::size_t line = 0; ///< 1-based
   std::string rule;     ///< rule name from the table
   std::string message;  ///< human-readable diagnosis
-
-  /// Baseline key: everything except the line number, which drifts.
-  std::string key() const { return file + "|" + rule + "|" + message; }
-
-  bool operator==(const Finding& o) const {
-    return file == o.file && line == o.line && rule == o.rule &&
-           message == o.message;
-  }
 };
 
 /// Serialize findings as the machine-readable "qsvlint/1" JSON document.
 std::string findings_to_json(const std::vector<Finding>& findings);
-
-/// Parse a "qsvlint/1" document back. Returns false (leaving `out`
-/// untouched) on malformed input — the round-trip is a tested contract.
-bool findings_from_json(std::string_view json, std::vector<Finding>& out);
 
 /// Render one finding as the one-line human format "file:line: [rule] msg".
 std::string finding_to_text(const Finding& f);
@@ -88,7 +72,6 @@ std::vector<LineInfo> lex(std::string_view content);
 struct FileContext {
   std::string path;             ///< lint-root-relative, '/'-separated
   const std::vector<LineInfo>* lines = nullptr;
-  std::string root;             ///< lint root ("" when linting a buffer)
 };
 
 struct Rule {
@@ -111,50 +94,9 @@ std::vector<Finding> lint_file(std::string_view virtual_path,
                                const std::vector<std::string>& only_rules = {});
 
 /// Lint the tree rooted at `root`: every *.hpp/*.cpp/*.h under src/,
-/// include/, tests/, and bench/, plus the tree-level rules (layout).
+/// include/, tests/, and bench/.
 std::vector<Finding> lint_tree(const std::string& root,
                                const std::vector<std::string>& only_rules = {});
-
-// --------------------------------------------------------------- baseline
-
-/// Load a baseline file: one Finding::key() per line; '#' comments and
-/// blank lines ignored. Returns false when the file cannot be read.
-bool load_baseline(const std::string& path, std::vector<std::string>& keys);
-
-/// Drop findings whose key() appears in `keys`; returns the number
-/// suppressed.
-std::size_t apply_baseline(std::vector<Finding>& findings,
-                           const std::vector<std::string>& keys);
-
-// ----------------------------------------------------------------- layout
-
-/// One registered hot struct for the false-sharing layout audit. The
-/// generator emits a static_assert TU from these; the build compiling
-/// that TU is the enforcement (an alignment regression is a build
-/// failure, not a runtime surprise).
-struct LayoutEntry {
-  std::string header;  ///< root-relative header that defines the type
-  std::string type;    ///< fully qualified type name
-  /// static_assert bodies over `T` (spelled literally with the type
-  /// name already substituted), e.g. "alignof(T) == 128".
-  std::vector<std::string> asserts;
-  /// Preprocessor condition the asserts are compiled under ("" for
-  /// always), e.g. "QSV_OBS" for fields that exist only with telemetry.
-  std::string guard = "";
-};
-
-/// The built-in registry: NodeArena node slots, FC publication records,
-/// stripe arrays, facade-visible padded slots.
-const std::vector<LayoutEntry>& layout_entries();
-
-/// Generate the audit TU text for `entries`.
-std::string generate_layout_tu(const std::vector<LayoutEntry>& entries);
-
-/// Validate `entries` against the tree (headers exist, asserts
-/// non-empty); appends findings under the "layout" rule.
-void check_layout_entries(const std::string& root,
-                          const std::vector<LayoutEntry>& entries,
-                          std::vector<Finding>& out);
 
 // ------------------------------------------------------------------ layers
 

@@ -1,15 +1,14 @@
 // qsvlint_main.cpp — CLI for the project-native discipline linter.
 //
-//   qsvlint [--root DIR] [--baseline FILE] [--json] [--rule NAME]...
+//   qsvlint [--root DIR] [--json] [--rule NAME]...
 //   qsvlint --list-rules
-//   qsvlint --gen-layout [FILE]
 //   qsvlint --fixture FILE...
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/IO error. CI and ctest run
-// the tree mode with the committed (empty) baseline; the fixture mode
-// lints a single file under the virtual path named by its first-line
-// `// qsvlint-fixture: <path>` directive, which is how the must-fire
-// corpus is replayed without planting violations in the real tree.
+// the tree mode; the fixture mode lints a single file under the virtual
+// path named by its first-line `// qsvlint-fixture: <path>` directive,
+// which is how the must-fire corpus is replayed without planting
+// violations in the real tree.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -24,10 +23,8 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: qsvlint [--root DIR] [--baseline FILE] [--json] "
-      "[--rule NAME]...\n"
-      "       qsvlint --list-rules | --gen-layout [FILE] | "
-      "--fixture FILE...\n");
+      "usage: qsvlint [--root DIR] [--json] [--rule NAME]...\n"
+      "       qsvlint --list-rules | --fixture FILE...\n");
   return 2;
 }
 
@@ -59,13 +56,10 @@ bool fixture_virtual_path(const std::string& content, std::string& out) {
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string baseline_path;
   std::vector<std::string> only_rules;
   std::vector<std::string> fixtures;
   bool json = false;
   bool list_rules = false;
-  bool gen_layout = false;
-  std::string gen_layout_out;
 
   for (int i = 1; i < argc; ++i) {
     std::string_view a = argv[i];
@@ -76,10 +70,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage();
       root = v;
-    } else if (a == "--baseline") {
-      const char* v = next();
-      if (!v) return usage();
-      baseline_path = v;
     } else if (a == "--rule") {
       const char* v = next();
       if (!v) return usage();
@@ -92,9 +82,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (a == "--list-rules") {
       list_rules = true;
-    } else if (a == "--gen-layout") {
-      gen_layout = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') gen_layout_out = argv[++i];
     } else if (a == "--help" || a == "-h") {
       usage();
       return 0;
@@ -108,23 +95,6 @@ int main(int argc, char** argv) {
     for (const qsvlint::Rule& r : qsvlint::rules()) {
       std::printf("%-16s %s\n", r.name, r.summary);
     }
-    return 0;
-  }
-
-  if (gen_layout) {
-    const std::string tu =
-        qsvlint::generate_layout_tu(qsvlint::layout_entries());
-    if (gen_layout_out.empty()) {
-      std::fwrite(tu.data(), 1, tu.size(), stdout);
-      return 0;
-    }
-    std::ofstream out(gen_layout_out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "qsvlint: cannot write '%s'\n",
-                   gen_layout_out.c_str());
-      return 2;
-    }
-    out << tu;
     return 0;
   }
 
@@ -155,17 +125,6 @@ int main(int argc, char** argv) {
     findings = qsvlint::lint_tree(root, only_rules);
   }
 
-  std::size_t suppressed = 0;
-  if (!baseline_path.empty()) {
-    std::vector<std::string> keys;
-    if (!qsvlint::load_baseline(baseline_path, keys)) {
-      std::fprintf(stderr, "qsvlint: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    suppressed = qsvlint::apply_baseline(findings, keys);
-  }
-
   if (json) {
     const std::string doc = qsvlint::findings_to_json(findings);
     std::fwrite(doc.data(), 1, doc.size(), stdout);
@@ -173,8 +132,8 @@ int main(int argc, char** argv) {
     for (const qsvlint::Finding& f : findings) {
       std::printf("%s\n", qsvlint::finding_to_text(f).c_str());
     }
-    std::fprintf(stderr, "qsvlint: %zu finding(s), %zu suppressed, %zu rules\n",
-                 findings.size(), suppressed, qsvlint::rules().size());
+    std::fprintf(stderr, "qsvlint: %zu finding(s), %zu rules\n",
+                 findings.size(), qsvlint::rules().size());
   }
   return findings.empty() ? 0 : 1;
 }

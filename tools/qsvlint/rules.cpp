@@ -690,12 +690,6 @@ void cas_recycle_run(const FileContext& ctx, std::vector<Finding>& out) {
   }
 }
 
-// ------------------------------------------------------------------ layout
-
-bool layout_applies(std::string_view) { return false; }  // tree-level rule
-
-void layout_run(const FileContext&, std::vector<Finding>&) {}
-
 }  // namespace
 
 // ----------------------------------------------------------------- layers
@@ -755,10 +749,6 @@ const std::vector<Rule>& rules() {
       {"capability",
        "facade types exposing lock()/unlock() carry QSV_CAPABILITY",
        capability_applies, capability_run},
-      {"layout",
-       "the false-sharing layout-audit registry is generatable and its "
-       "headers exist (enforced at compile time by the generated TU)",
-       layout_applies, layout_run},
       {"cas-recycle",
        "a compare_exchange on a node field outside a retry loop has an "
        "acquire (not relaxed) failure order",
@@ -818,19 +808,9 @@ std::vector<Finding> lint_tree(const std::string& root,
     std::ifstream in(fs::path(root) / rel, std::ios::binary);
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::vector<LineInfo> lines = lex(buf.str());
-    FileContext ctx;
-    ctx.path = rel;
-    ctx.lines = &lines;
-    ctx.root = root;
-    for (const Rule& r : rules()) {
-      if (!rule_selected(only_rules, r.name)) continue;
-      if (!r.applies(ctx.path)) continue;
-      r.run(ctx, out);
+    for (Finding& f : lint_file(rel, buf.str(), only_rules)) {
+      out.push_back(std::move(f));
     }
-  }
-  if (rule_selected(only_rules, "layout")) {
-    check_layout_entries(root, layout_entries(), out);
   }
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;
